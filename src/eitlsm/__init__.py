@@ -31,13 +31,13 @@ from .forward import (
     nd_map_from_system,
     reciprocity_defect,
     save_nd_map,
-    solve_neumann,
 )
 from .geometry import (
     BoundaryField,
     DiskMesh,
     build_disk_mesh,
     fourier_modes,
+    fourier_projector,
     fourier_to_trace,
     load_mesh,
     max_edge_length,

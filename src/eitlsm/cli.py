@@ -33,7 +33,7 @@ from .forward import (
     save_nd_map,
 )
 from .geometry import BoundaryField, build_disk_mesh, fourier_modes
-from .media import check_absorption, check_coercivity, load_scenario, parse_scenario
+from .media import check_absorption, load_scenario, parse_scenario
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
     RelativeData,
@@ -182,10 +182,9 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     """Simulate ND data: measured (optionally noisy) + background + manifest."""
     os.makedirs(out_dir, exist_ok=True)
     mesh = build_disk_mesh(cfg.h_target)
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    coercivity = check_coercivity(cfg.scenario, centroids)
     absorption = check_absorption(cfg.scenario)
     system = assemble_system(mesh, cfg.scenario)  # refuses if coercivity fails
+    coercivity = system.coercivity
     measured = nd_map_from_system(system, cfg.N)
     if cfg.noise_level > 0.0:
         measured = add_noise(measured, cfg.noise_level, cfg.noise_seed)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .forward import FemSystem, assemble_system
-from .geometry import BoundaryField, DiskMesh, fourier_modes, trace_to_fourier
+from .geometry import BoundaryField, DiskMesh, fourier_modes, fourier_projector
 from .media import AdmittanceField, InclusionGeometry
 
 __all__ = [
@@ -141,16 +141,15 @@ def _dipole_neumann_data(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray) -> 
 class SingularTraceComputer:
     """Boundary traces of dipole singular solutions on a fixed mesh.
 
-    Assembles and factorizes the background (gamma = I) system once; each
-    trace then costs one back-substitution. ``trace_batch`` solves all
-    requested dipoles in a single multi-column solve.
+    Assembles and factorizes the background (gamma = I) system once and
+    forms its boundary operator R = P S, where S maps nodal boundary
+    currents to nodal traces (one solve per boundary vertex) and P is the
+    Fourier projector. ``trace_batch`` then costs two matrix products for any
+    number of dipoles.
     """
 
     def __init__(self, mesh: DiskMesh, N: int, system: FemSystem | None = None):
-        if 2 * N + 1 > mesh.n_boundary:
-            raise ConfigurationError(
-                f"N={N} needs 2N+1 <= {mesh.n_boundary} boundary vertices"
-            )
+        self._projector = fourier_projector(mesh, N)
         self.mesh = mesh
         self.N = N
         if system is None:
@@ -159,6 +158,7 @@ class SingularTraceComputer:
         elif not system.admittance.is_background():
             raise ConfigurationError("singular traces require the background system")
         self.system = system
+        self._response = self._projector @ system.boundary_solve(np.eye(mesh.n_boundary))
         self._clearance = 2.0 * mesh.h_target
 
     def _check_interior(self, ys: np.ndarray) -> None:
@@ -172,7 +172,11 @@ class SingularTraceComputer:
             )
 
     def trace_batch(self, ys, dirs) -> np.ndarray:
-        """Fourier coefficients of phi_y for each (y, direction); shape (B, 2N)."""
+        """Fourier coefficients of phi_y for each (y, direction); shape (B, 2N).
+
+        phi_y is the free-space dipole field on the boundary minus the
+        background trace of its (mean-free) Neumann data.
+        """
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
         dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -181,15 +185,8 @@ class SingularTraceComputer:
         bpts = mesh.vertices[mesh.boundary]
         g = _dipole_neumann_data(bpts, ys, dirs)
         g = g - g.mean(axis=1, keepdims=True)  # admissible (zero-mean) currents
-        loads = np.stack(
-            [self.system.neumann_load(row) for row in g.astype(complex)], axis=1
-        )
-        traces = self.system.solve(loads)[mesh.boundary].T
         w = _dipole_boundary_values(bpts, ys, dirs)
-        phi = w - traces
-        return np.stack(
-            [trace_to_fourier(mesh, row, self.N, 0.5).coeffs for row in phi]
-        )
+        return w @ self._projector.T - g @ self._response.T
 
     def trace(self, spec: DipoleSpec) -> BoundaryField:
         coeffs = self.trace_batch([spec.y], [spec.direction])[0]
@@ -200,9 +197,9 @@ def singular_trace(mesh: DiskMesh, spec: DipoleSpec, N: int) -> BoundaryField:
     """Trace phi_y of the dipole singular solution, as a zero-mean field.
 
     Computes the dipole's Neumann data on the boundary analytically, removes
-    its mean, corrects with the background solve, and projects the resulting
-    boundary values to Fourier coefficients (smoothness +1/2). For repeated
-    calls on one mesh use :class:`SingularTraceComputer` directly.
+    its mean, and corrects with the background boundary operator, in Fourier
+    coefficients (smoothness +1/2). For repeated calls on one mesh use
+    :class:`SingularTraceComputer` directly: it forms that operator once.
     """
     return SingularTraceComputer(mesh, N).trace(spec)
 

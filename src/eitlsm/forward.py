@@ -5,7 +5,9 @@ with linear triangles and gamma frozen at each centroid; the zero-mean trace
 constraint is a single Lagrange multiplier row, which keeps the system
 complex symmetric. ND maps are stored as (2N)x(2N) complex matrices in the
 zero-mean Fourier basis (column n = Fourier trace of the solution driven by
-the current exp(i n theta)).
+the current exp(i n theta)). Every solve goes through one boundary operator,
+``FemSystem.boundary_solve``: nodal boundary currents in, nodal boundary
+traces out, any number of columns at once.
 
 Boundary loads use the periodic trapezoid quadrature paired with the
 trapezoid trace projection; on the uniformly spaced boundary this pairing
@@ -23,14 +25,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
-from .geometry import BoundaryField, DiskMesh, fourier_modes, fourier_to_trace, trace_to_fourier
+from .geometry import BoundaryField, DiskMesh, fourier_modes, fourier_projector
 from .media import AdmittanceField, InclusionGeometry, check_coercivity
 
 __all__ = [
     "FemSystem",
     "NdMap",
     "assemble_system",
-    "solve_neumann",
     "compute_nd_map",
     "compute_background_nd_map",
     "nd_map_from_system",
@@ -88,7 +89,8 @@ class FemSystem:
     Holds the complex-symmetric stiffness matrix for int gamma grad(u).grad(v),
     the boundary mean-constraint vector and the LU factorization of the
     Lagrange-augmented system. The factorization is reused by every solve;
-    it is immutable and safe to share read-only.
+    it is immutable and safe to share read-only. ``assemble_system`` also
+    records its coercivity verdict as ``coercivity``.
     """
 
     def __init__(self, mesh: DiskMesh, stiffness: sp.csc_matrix, constraint: np.ndarray,
@@ -97,7 +99,6 @@ class FemSystem:
         self.stiffness = stiffness
         self.constraint = constraint
         self.admittance = admittance
-        n = mesh.n_vertices
         augmented = sp.bmat(
             [[stiffness, sp.csc_matrix(constraint[:, None])],
              [sp.csc_matrix(constraint[None, :]), None]],
@@ -107,51 +108,33 @@ class FemSystem:
             self._lu = spla.splu(augmented)
         except RuntimeError as exc:
             raise SolverError(f"constrained Neumann system is singular: {exc}") from None
-        self._n = n
-        # boundary quadrature data, precomputed once
-        self.boundary_theta = mesh.boundary_angles
-        self.boundary_weights = self._trapezoid_weights(mesh)
-        self._edge_lengths = mesh.boundary_edge_lengths()
 
-    @staticmethod
-    def _trapezoid_weights(mesh: DiskMesh) -> np.ndarray:
-        theta = mesh.boundary_angles
-        gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
-        return 0.5 * (gaps + np.roll(gaps, 1))
+    def boundary_solve(self, currents, rule: str = "trapezoid") -> np.ndarray:
+        """Boundary traces, shape (nb, k), of the solutions driven by nodal currents (nb, k).
 
-    def neumann_load(self, nodal, rule: str = "trapezoid") -> np.ndarray:
-        """Load vector b_i = int f phi_i dS from nodal boundary currents.
-
-        ``trapezoid`` (default) uses the periodic trapezoid rule in angle,
-        the adjoint of the trace projection; ``galerkin`` evaluates the
-        P1-consistent edge mass exactly.
+        Each column of ``currents`` is turned into a load b_i = int f phi_i dS:
+        ``trapezoid`` (default) uses the periodic trapezoid rule in angle, the
+        adjoint of the trace projection; ``galerkin`` evaluates the
+        P1-consistent edge mass exactly. All columns share one back-substitution
+        call; the Lagrange multiplier absorbs any residual mean of the data.
         """
-        nodal = np.asarray(nodal, dtype=complex)
-        bnd = self.mesh.boundary
-        ell = self._edge_lengths
-        b = np.zeros(self._n, dtype=complex)
+        currents = np.asarray(currents, dtype=complex)
+        mesh = self.mesh
         if rule == "trapezoid":
-            b[bnd] = nodal * self.boundary_weights
+            loads = mesh.boundary_weights[:, None] * currents
         elif rule == "galerkin":
-            nxt = np.roll(nodal, -1)
-            prv = np.roll(nodal, 1)
-            b[bnd] = (ell * (2 * nodal + nxt) + np.roll(ell, 1) * (2 * nodal + prv)) / 6.0
+            ell = mesh.boundary_edge_lengths()[:, None]
+            nxt = np.roll(currents, -1, axis=0)
+            prv = np.roll(currents, 1, axis=0)
+            loads = (ell * (2 * currents + nxt) + np.roll(ell, 1, axis=0) * (2 * currents + prv)) / 6.0
         else:
             raise ConfigurationError(f"unknown load rule {rule!r}")
-        return b
-
-    def solve(self, loads: np.ndarray) -> np.ndarray:
-        """Solve the constrained system for one load vector or a stack of columns."""
-        loads = np.asarray(loads, dtype=complex)
-        single = loads.ndim == 1
-        cols = loads[:, None] if single else loads
-        rhs = np.zeros((self._n + 1, cols.shape[1]), dtype=complex)
-        rhs[: self._n] = cols
+        rhs = np.zeros((mesh.n_vertices + 1, currents.shape[1]), dtype=complex)
+        rhs[mesh.boundary] = loads
         sol = self._lu.solve(rhs)
         if not np.isfinite(sol).all():
             raise SolverError("Neumann solve produced non-finite values")
-        u = sol[: self._n]
-        return u[:, 0] if single else u
+        return sol[mesh.boundary]
 
 
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField,
@@ -193,23 +176,9 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField,
     ell = mesh.boundary_edge_lengths()
     constraint = np.zeros(mesh.n_vertices)
     constraint[mesh.boundary] = 0.5 * (ell + np.roll(ell, 1))
-    return FemSystem(mesh, stiffness, constraint, admittance)
-
-
-def solve_neumann(system: FemSystem, current: BoundaryField,
-                  rule: str = "trapezoid") -> np.ndarray:
-    """Nodal potential for the boundary current; trace mean is zero.
-
-    The current is synthesized at the boundary vertices and fed through the
-    boundary quadrature; the Lagrange multiplier absorbs any residual mean
-    defect of the discrete data.
-    """
-    nodal = fourier_to_trace(current, system.mesh)
-    u = system.solve(system.neumann_load(nodal, rule=rule))
-    mean = abs(system.constraint @ u) / system.constraint.sum()
-    if mean > 1e-10 * max(1.0, float(np.abs(u).max())):
-        raise SolverError(f"boundary trace mean {mean:.3g} exceeds tolerance")
-    return u
+    system = FemSystem(mesh, stiffness, constraint, admittance)
+    system.coercivity = verdict
+    return system
 
 
 def compute_nd_map(mesh: DiskMesh, admittance: AdmittanceField, N: int,
@@ -224,24 +193,12 @@ def compute_nd_map(mesh: DiskMesh, admittance: AdmittanceField, N: int,
 
 
 def nd_map_from_system(system: FemSystem, N: int, load_rule: str = "trapezoid") -> NdMap:
-    """ND map from an already assembled system (column solves are batched)."""
+    """ND map from an already assembled system: one boundary solve of the 2N mode currents."""
     mesh = system.mesh
-    if 2 * N + 1 > mesh.n_boundary:
-        raise ConfigurationError(
-            f"N={N} needs 2N+1 <= {mesh.n_boundary} boundary vertices"
-        )
-    theta = system.boundary_theta
-    modes = fourier_modes(N)
-    loads = np.stack(
-        [system.neumann_load(np.exp(1j * mo * theta), rule=load_rule) for mo in modes],
-        axis=1,
-    )
-    traces = system.solve(loads)[mesh.boundary]
-    matrix = np.stack(
-        [trace_to_fourier(mesh, traces[:, k], N, 0.5).coeffs for k in range(2 * N)],
-        axis=1,
-    )
-    return NdMap(matrix=matrix, N=N, provenance="fem")
+    projector = fourier_projector(mesh, N)
+    currents = np.exp(1j * np.outer(mesh.boundary_angles, fourier_modes(N)))
+    traces = system.boundary_solve(currents, rule=load_rule)
+    return NdMap(matrix=projector @ traces, N=N, provenance="fem")
 
 
 def compute_background_nd_map(mesh: DiskMesh | None, N: int,
@@ -306,13 +263,27 @@ def load_nd_map(path) -> NdMap:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "ndmap" or header[1] != "N" or header[3] != "provenance":
             raise ConfigurationError(f"malformed ND-map header in {path}")
-        N = int(header[2])
+        try:
+            N = int(header[2])
+        except ValueError:
+            raise ConfigurationError(
+                f"ND-map header in {path}: N must be an integer, got {header[2]!r}"
+            ) from None
+        if N < 1:
+            raise ConfigurationError(f"ND-map header in {path}: N must be >= 1, got {N}")
         provenance = header[4]
         rows = []
         for k in range(2 * N):
-            vals = [float(t) for t in fh.readline().split()]
-            if len(vals) != 4 * N:
-                raise ConfigurationError(f"ND-map row {k} in {path} has {len(vals)} values")
-            arr = np.asarray(vals).reshape(2 * N, 2)
+            tokens = fh.readline().split()
+            if len(tokens) != 4 * N:
+                raise ConfigurationError(f"ND-map row {k} in {path} has {len(tokens)} values")
+            try:
+                arr = np.array([float(t) for t in tokens]).reshape(2 * N, 2)
+            except ValueError:
+                raise ConfigurationError(f"ND-map row {k} in {path} has a non-numeric entry") from None
+            if not np.isfinite(arr).all():
+                raise ConfigurationError(f"ND-map row {k} in {path} has a non-finite entry")
             rows.append(arr[:, 0] + 1j * arr[:, 1])
+        if fh.read().strip():
+            raise ConfigurationError(f"ND-map row {2 * N} in {path} is extra: N={N} gives {2 * N} rows")
     return NdMap(matrix=np.stack(rows), N=N, provenance=provenance)

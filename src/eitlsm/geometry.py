@@ -26,6 +26,7 @@ __all__ = [
     "BoundaryField",
     "fourier_modes",
     "build_disk_mesh",
+    "fourier_projector",
     "trace_to_fourier",
     "fourier_to_trace",
     "triangle_areas",
@@ -120,6 +121,13 @@ class DiskMesh:
             self._boundary_angles = np.mod(np.arctan2(bp[:, 1], bp[:, 0]), 2 * np.pi)
         return self._boundary_angles
 
+    @property
+    def boundary_weights(self) -> np.ndarray:
+        """Periodic trapezoid weights in angle, w_k = (theta_{k+1} - theta_{k-1})/2."""
+        theta = self.boundary_angles
+        gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
+        return 0.5 * (gaps + np.roll(gaps, 1))
+
     def boundary_edge_lengths(self) -> np.ndarray:
         """Length of boundary edge k = (boundary[k], boundary[k+1]), cyclic."""
         bp = self.vertices[self.boundary]
@@ -198,16 +206,28 @@ def build_disk_mesh(h_target: float) -> DiskMesh:
     return DiskMesh(vertices=vertices, triangles=triangles, boundary=boundary, h_target=h_target)
 
 
-def trace_to_fourier(mesh: DiskMesh, nodal, N: int, smoothness: float) -> BoundaryField:
-    """Project nodal boundary values to a zero-mean Fourier field.
+def fourier_projector(mesh: DiskMesh, N: int) -> np.ndarray:
+    """Matrix P, shape (2N, nb), taking nodal boundary values to zero-mean Fourier coefficients.
 
-    Coefficients are periodic trapezoid-rule integrals over the
+    Row n holds the periodic trapezoid-rule integral over the
     angle-parameterized boundary,
 
         f_n = (1/2pi) sum_k w_k f(theta_k) exp(-i n theta_k),
 
-    with w_k = (theta_{k+1} - theta_{k-1})/2; the n = 0 component is
-    discarded (mean removal is structural).
+    with the weights of :attr:`DiskMesh.boundary_weights`; the n = 0 row is
+    absent (mean removal is structural). Requires 2N + 1 <= nb.
+    """
+    nb = mesh.n_boundary
+    if 2 * N + 1 > nb:
+        raise ConfigurationError(
+            f"truncation N={N} aliases on {nb} boundary vertices (need 2N+1 <= {nb})"
+        )
+    E = np.exp(-1j * np.outer(fourier_modes(N), mesh.boundary_angles))
+    return E * (mesh.boundary_weights / (2 * np.pi))
+
+
+def trace_to_fourier(mesh: DiskMesh, nodal, N: int, smoothness: float) -> BoundaryField:
+    """Project nodal boundary values to a zero-mean Fourier field (see :func:`fourier_projector`).
 
     Parameters
     ----------
@@ -224,17 +244,7 @@ def trace_to_fourier(mesh: DiskMesh, nodal, N: int, smoothness: float) -> Bounda
         raise ConfigurationError(
             f"nodal data has shape {nodal.shape}, expected ({nb},) for this mesh"
         )
-    if 2 * N + 1 > nb:
-        raise ConfigurationError(
-            f"truncation N={N} aliases on {nb} boundary vertices (need 2N+1 <= {nb})"
-        )
-    theta = mesh.boundary_angles
-    gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
-    w = 0.5 * (gaps + np.roll(gaps, 1))
-    modes = fourier_modes(N)
-    E = np.exp(-1j * np.outer(modes, theta))
-    coeffs = (E * w) @ nodal / (2 * np.pi)
-    return BoundaryField(coeffs=coeffs, N=N, smoothness=smoothness)
+    return BoundaryField(coeffs=fourier_projector(mesh, N) @ nodal, N=N, smoothness=smoothness)
 
 
 def fourier_to_trace(field: BoundaryField, mesh: DiskMesh) -> np.ndarray:

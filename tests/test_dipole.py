@@ -96,6 +96,29 @@ def test_rotation_equivariance():
     assert np.abs(c2 - predicted).max() <= 1e-4 * scale
 
 
+def closed_form_traces(ys, dirs, N):
+    # phi_y on the unit disk, with a = a1 + i a2 and y = y1 + i y2:
+    # c_n = -(1/2pi) conj(a) conj(y)^(n-1) for n > 0, -(1/2pi) a y^(|n|-1) for n < 0
+    modes = fourier_modes(N)
+    y = (ys[:, 0] + 1j * ys[:, 1])[:, None]
+    a = (dirs[:, 0] + 1j * dirs[:, 1])[:, None]
+    k = np.abs(modes) - 1
+    return np.where(modes > 0, np.conj(a) * np.conj(y) ** k, a * y**k) / (-2 * np.pi)
+
+
+def test_off_centre_traces_match_closed_form():
+    pts = np.array([(0.3, 0.1), (-0.5, 0.2), (0.1, -0.6), (-0.4, -0.45)])
+    ys = np.repeat(pts, 2, axis=0)
+    dirs = np.tile(np.eye(2), (len(pts), 1))
+    exact = closed_form_traces(ys, dirs, 8)
+    errs = []
+    for h in (0.05, 0.03):
+        traces = SingularTraceComputer(build_disk_mesh(h), N=8).trace_batch(ys, dirs)
+        errs.append((np.abs(traces - exact).max(axis=1) / np.abs(exact).max(axis=1)).max())
+    assert errs[0] <= 5e-4
+    assert errs[1] < errs[0]
+
+
 def test_dipole_too_close_to_boundary():
     mesh = build_disk_mesh(0.1)
     with pytest.raises(ConfigurationError, match="2\\*h_target"):

@@ -19,7 +19,6 @@ from eitlsm import (
     parse_scenario,
     reciprocity_defect,
     save_nd_map,
-    solve_neumann,
     trace_to_fourier,
 )
 from conftest import ANISO_DOC, two_phase_diagonal
@@ -27,12 +26,6 @@ from conftest import ANISO_DOC, two_phase_diagonal
 
 def background_field():
     return AdmittanceField(InclusionGeometry(components=[]), [])
-
-
-def mode_field(N, n, amplitude=1.0):
-    coeffs = np.zeros(2 * N, dtype=complex)
-    coeffs[fourier_modes(N) == n] = amplitude
-    return BoundaryField(coeffs, N, smoothness=-0.5)
 
 
 def cos_field(N, n):
@@ -97,37 +90,37 @@ def test_assembly_refuses_non_coercive_field():
 
 
 # ---------------------------------------------------------------------------
-# Neumann solves
+# boundary solves
 
 
-def test_zero_current_zero_potential():
+def cos_current(mesh, n):
+    return np.cos(n * mesh.boundary_angles)[:, None]
+
+
+def test_zero_current_zero_trace():
     mesh = build_disk_mesh(0.2)
     system = assemble_system(mesh, background_field())
-    u = solve_neumann(system, mode_field(4, 1, 0.0))
-    assert np.abs(u).max() <= 1e-14
+    trace = system.boundary_solve(np.zeros((mesh.n_boundary, 1)))
+    assert np.abs(trace).max() <= 1e-14
 
 
 def test_harmonic_mode_one():
     mesh = build_disk_mesh(0.05)
     system = assemble_system(mesh, background_field())
-    u = solve_neumann(system, cos_field(8, 1))
-    # separation of variables: u = r cos(theta)
-    exact = mesh.vertices[:, 0]
-    err = np.abs(u - exact).max()
-    assert err <= 2.0 * 0.05**2
-    trace = u[mesh.boundary]
+    # separation of variables: u = r cos(theta), trace cos(theta)
+    trace = system.boundary_solve(cos_current(mesh, 1))[:, 0]
     assert np.abs(trace - np.cos(mesh.boundary_angles)).max() <= 2.0 * 0.05**2
     # boundary trace mean is zero
-    assert abs(system.constraint @ u) / system.constraint.sum() <= 1e-10
+    assert abs(mesh.boundary_weights @ trace) / (2 * np.pi) <= 1e-10
 
 
 def test_harmonic_mode_two_trace():
     mesh = build_disk_mesh(0.05)
     system = assemble_system(mesh, background_field())
-    u = solve_neumann(system, cos_field(8, 2))
-    trace = trace_to_fourier(mesh, u[mesh.boundary], 8, 0.5)
+    trace = system.boundary_solve(cos_current(mesh, 2))[:, 0]
+    field = trace_to_fourier(mesh, trace, 8, 0.5)
     expect = cos_field(8, 2).coeffs / 2.0  # mode-n trace = f_n / |n|
-    assert np.abs(trace.coeffs - expect).max() <= 1e-3
+    assert np.abs(field.coeffs - expect).max() <= 1e-3
 
 
 def test_sup_error_quadratic_in_h():
@@ -135,9 +128,22 @@ def test_sup_error_quadratic_in_h():
     for h in (0.1, 0.05):
         mesh = build_disk_mesh(h)
         system = assemble_system(mesh, background_field())
-        u = solve_neumann(system, cos_field(8, 1))
-        errs.append(np.abs(u - mesh.vertices[:, 0]).max())
+        trace = system.boundary_solve(cos_current(mesh, 1))[:, 0]
+        errs.append(np.abs(trace - np.cos(mesh.boundary_angles)).max())
     assert errs[1] <= 0.35 * errs[0]  # ~ 4x drop for O(h^2)
+
+
+def test_boundary_solve_columns_are_independent():
+    # one multi-column solve equals the column-by-column solves
+    mesh = build_disk_mesh(0.1)
+    system = assemble_system(mesh, background_field())
+    currents = np.hstack([cos_current(mesh, 1), cos_current(mesh, 3)])
+    both = system.boundary_solve(currents, rule="galerkin")
+    for k in range(2):
+        alone = system.boundary_solve(currents[:, k:k + 1], rule="galerkin")[:, 0]
+        assert np.abs(both[:, k] - alone).max() <= 1e-14
+    with pytest.raises(ConfigurationError, match="load rule"):
+        system.boundary_solve(currents, rule="midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +271,22 @@ def test_nd_file_malformed_header(tmp_path):
     path.write_text("not an ndmap\n")
     with pytest.raises(ConfigurationError):
         load_nd_map(path)
+
+
+_GOOD_ROWS = ["1 0 0 0", "0 0 1 0"]
+
+
+@pytest.mark.parametrize("lines,where", [
+    pytest.param(["ndmap N x provenance fem"] + _GOOD_ROWS, "header", id="N-not-integer"),
+    pytest.param(["ndmap N 0 provenance fem"], "header", id="N-zero"),
+    pytest.param(["ndmap N 1 provenance fem", "1 0 nan 0", "0 0 1 0"], "row 0", id="nan"),
+    pytest.param(["ndmap N 1 provenance fem", "1 0 0 0", "0 0 one 0"], "row 1", id="non-numeric"),
+    pytest.param(["ndmap N 1 provenance fem", "1 0 0 0"], "row 1", id="missing-row"),
+    pytest.param(["ndmap N 1 provenance fem"] + _GOOD_ROWS + ["0 0 0 0"], "row 2", id="extra-row"),
+])
+def test_nd_file_malformed_body(tmp_path, lines, where):
+    path = tmp_path / "bad.nd"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"ND-map {where} in ") as info:
+        load_nd_map(path)
+    assert str(path) in str(info.value)

@@ -41,6 +41,8 @@ from .sampling import (
     indicator_map,
     make_relative_data,
     morozov_alpha,
+    support_cutoff,
+    sweep_diagnostics,
     tikhonov_solve,
     write_indicator_csv,
     write_indicator_pgm,
@@ -213,24 +215,43 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
 
 
+def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
+    """Refuse ND files whose ``simulate_manifest.json`` in ``out_dir`` records
+    another mesh size or order; ND files without a manifest are taken as is."""
+    path = os.path.join(out_dir, "simulate_manifest.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ConfigurationError(f"{path}: unreadable simulate manifest ({exc!r})") from None
+    for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N)):
+        if simulated[name] != value:
+            raise ConfigurationError(
+                f"{path}: {name} is {simulated[name]} in the simulate run but {value} "
+                "in this config; refusing to mix runs"
+            )
+
+
 def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     """Full sweep from ND-map files to indicator, mask and image outputs."""
     os.makedirs(out_dir, exist_ok=True)
+    _check_simulated_with(cfg, out_dir)
     measured = load_nd_map(os.path.join(out_dir, cfg.measured_path))
     background = load_nd_map(os.path.join(out_dir, cfg.background_path))
     data = make_relative_data(measured, background)
     mesh = build_disk_mesh(cfg.h_target)
-    imap = indicator_map(
-        data, mesh, cfg.grid, {"epsilon": cfg.epsilon},
-        directions=cfg.directions, threads=cfg.threads,
-    )
+    imap = indicator_map(data, mesh, cfg.grid, {"epsilon": cfg.epsilon},
+                         directions=cfg.directions)
     if not imap.feasible.any():
         # keep the evidence without clobbering any earlier successful output
         write_indicator_csv(imap, os.path.join(out_dir, "indicator_infeasible.csv"))
         raise EstimationError("every sweep point is infeasible at this discrepancy level")
-    mask = estimate_support(
-        imap, rule=cfg.cutoff["rule"], c=float(cfg.cutoff["c"]), q=float(cfg.cutoff["q"])
-    )
+    cutoff = {"rule": cfg.cutoff["rule"], "c": float(cfg.cutoff["c"]),
+              "q": float(cfg.cutoff["q"])}
+    mask = estimate_support(imap, **cutoff)
     indicator_path = os.path.join(out_dir, "indicator.csv")
     mask_path = os.path.join(out_dir, "mask.csv")
     image_path = os.path.join(out_dir, "indicator.pgm")
@@ -244,6 +265,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
         "cutoff": cfg.cutoff,
         "feasible_points": int(imap.feasible.sum()),
         "total_points": len(imap),
+        "diagnostics": sweep_diagnostics(imap, support_cutoff(imap, **cutoff)),
         "files": ["indicator.csv", "mask.csv", "indicator.pgm"],
     })
     return {"indicator": indicator_path, "mask": mask_path, "image": image_path,
@@ -344,7 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--threads", type=int, help="worker threads for the sweep")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; has no effect")
         p.add_argument("--seed", type=int, help="override the noise seed")
     return parser
 

@@ -8,7 +8,10 @@ coordinates: with W_s = diag(|n|^s) the functional
 becomes an ordinary least-squares problem for the matrix W_{1/2} A W_{1/2},
 whose SVD is computed once per data set and reused by every sweep point.
 The Morozov parameter alpha(delta) is found by bisection in log(alpha),
-using the strict monotonicity of the residual.
+using the strict monotonicity of the residual. Since Vh is unitary, the
+residual and the solution norm depend only on s^2 and |U^H phi|^2, so the
+bisection runs on all sweep points and directions at once, as whole-array
+operations, and no solution vector is formed for the indicator.
 
 The indicator I(y) = ||psi_y^delta||_{-1/2} is small where the dipole trace
 is (approximately) in the range of the data operator - i.e. inside the
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +44,14 @@ __all__ = [
     "grid_points",
     "indicator_map",
     "estimate_support",
+    "support_cutoff",
+    "sweep_diagnostics",
     "reconstruct_via_density",
     "write_indicator_csv",
     "write_mask_csv",
     "write_indicator_pgm",
     "DEFAULT_CUTOFF_MULTIPLIER",
+    "FLAGS",
 ]
 
 # Calibrated on the reference inclusion scenario (see decision record in the
@@ -82,12 +87,6 @@ class RelativeData:
         if rhs.N != self.N:
             raise ConfigurationError(f"rhs order {rhs.N} does not match data order {self.N}")
         return self.weights * rhs.coeffs
-
-    def residual_floor(self, phit: np.ndarray) -> float:
-        """Limit of the residual as alpha -> 0+ over the truncated system."""
-        beta = self.U.conj().T @ phit
-        null = self.singular_values <= 0.0
-        return float(np.linalg.norm(beta[null]))
 
 
 def make_relative_data(measured: NdMap, background: NdMap) -> RelativeData:
@@ -129,13 +128,17 @@ def tikhonov_solve(data: RelativeData, rhs: BoundaryField, alpha: float) -> Boun
     return _unweight(data, psit)
 
 
+FLAGS = ("ok", "infeasible-low", "infeasible-high", "not-converged")
+MOROZOV_MAX_STEPS = 300
+
+
 @dataclass
 class MorozovResult:
     alpha: float
     psi: BoundaryField
     residual: float
     delta: float
-    flag: str  # "ok" | "infeasible-low" | "infeasible-high"
+    flag: str  # one of FLAGS
     residual_floor: float
     residual_ceiling: float
 
@@ -144,58 +147,120 @@ class MorozovResult:
         return self.flag == "ok"
 
 
+@dataclass(eq=False)
+class _MorozovRows:
+    """Discrepancy-principle results for a batch of weighted right-hand sides."""
+
+    beta: np.ndarray  # (R, 2N) U^H phit
+    alpha: np.ndarray  # (R,) inf when infeasible-high, 0 when infeasible-low
+    residual: np.ndarray  # (R,)
+    indicator: np.ndarray  # (R,) ||psit|| = ||s/(s^2+alpha) beta||
+    floor: np.ndarray  # (R,) alpha -> 0 limit of the residual
+    ceiling: np.ndarray  # (R,) ||phit||, the alpha -> inf limit
+    flag: np.ndarray  # (R,) one of FLAGS
+    steps: np.ndarray  # (R,) bisection steps taken
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _tikhonov_filter(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Rows s/(s^2 + alpha), 0 on null directions; alpha may be 0 or inf."""
+    return np.where(s > 0.0, s / (s**2 + alpha[:, None]), 0.0)
+
+
+# a failed row may overflow or divide 0 by 0; it is flagged, not warned about
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _MorozovRows:
+    """Morozov's alpha for every row of ``phit`` (R, 2N) at once.
+
+    Rules and flags are those of ``morozov_alpha``; the bisection steps all
+    active rows together and freezes each row once it converges. Every
+    operation acts on each row alone, so a row's result does not depend on
+    the batch it is solved in.
+    """
+    s = data.singular_values
+    s2 = s**2
+    # numpy hands a one-row product to gemv, which sums in another order than
+    # gemm; doubling a lone row keeps it bit-identical to the same row in a batch
+    rows = phit if len(phit) > 1 else np.repeat(phit, 2, axis=0)
+    beta = (rows @ data.U.conj())[: len(phit)]
+    beta2 = beta.real**2 + beta.imag**2
+
+    def residual(alpha: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        gain = alpha[:, None] / (s2 + alpha[:, None])
+        return np.sqrt((gain**2 * beta2[idx]).sum(axis=1))
+
+    ceiling = np.linalg.norm(phit, axis=1)
+    floor = np.sqrt(beta2[:, s <= 0.0].sum(axis=1))
+    flag = np.full(len(phit), "ok", dtype=f"<U{max(map(len, FLAGS))}")
+    high = delta >= ceiling
+    low = ~high & (delta <= floor)
+    flag[high], flag[low] = "infeasible-high", "infeasible-low"
+    alpha = np.where(high, np.inf, 0.0)
+    steps = np.zeros(len(phit), dtype=int)
+
+    idx = np.flatnonzero(~high & ~low)
+    d = delta[idx]
+    hi = np.full(len(idx), max(float(s2[0]), 1.0))
+    r_hi = residual(hi, idx)
+    grow = r_hi < d
+    while grow.any():
+        hi[grow] *= 16.0
+        r_hi[grow] = residual(hi[grow], idx[grow])
+        grow = r_hi < d
+    lo, r_lo = hi.copy(), r_hi
+    unbracketed = np.zeros(len(idx), dtype=bool)
+    shrink = r_lo > d
+    while shrink.any():
+        lo[shrink] /= 16.0
+        unbracketed |= shrink & (lo < 1e-300)
+        shrink &= ~unbracketed
+        r_lo[shrink] = residual(lo[shrink], idx[shrink])
+        shrink &= r_lo > d
+
+    mid = np.sqrt(lo * hi)
+    converged = np.zeros(len(idx), dtype=bool)
+    active = np.flatnonzero(~unbracketed)
+    for _ in range(MOROZOV_MAX_STEPS):
+        if not len(active):
+            break
+        mid[active] = np.sqrt(lo[active] * hi[active])
+        steps[idx[active]] += 1
+        res = residual(mid[active], idx[active])
+        hit = np.abs(res - d[active]) <= MOROZOV_RTOL * d[active]
+        converged[active[hit]] = True
+        below = (res < d[active])[~hit]
+        active = active[~hit]
+        lo[active[below]] = mid[active[below]]
+        hi[active[~below]] = mid[active[~below]]
+    alpha[idx] = mid
+
+    achieved = np.where(high, ceiling, floor)
+    achieved[idx] = residual(mid, idx)
+    flag[idx[~converged | ~np.isfinite(achieved[idx])]] = "not-converged"
+    indicator = np.sqrt((_tikhonov_filter(s, alpha) ** 2 * beta2).sum(axis=1))
+    return _MorozovRows(beta, alpha, achieved, indicator, floor, ceiling, flag, steps)
+
+
 def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> MorozovResult:
     """Select alpha so that the residual matches the discrepancy level delta.
 
     residual(alpha) increases strictly from the alpha -> 0 floor to ||rhs||;
-    bisection on log(alpha) brings it within MOROZOV_RTOL of delta. Outside
-    the feasible window the result is flagged: below the floor the alpha -> 0
+    bisection on log(alpha), inside a bracket grown from max(s_1^2, 1) by
+    factors of 16, brings it within MOROZOV_RTOL of delta. Outside the
+    feasible window the result is flagged: below the floor the alpha -> 0
     (minimum-norm) solution is returned, at or above ||rhs|| the zero current
-    already satisfies the constraint.
+    already satisfies the constraint. A bisection that fails (no lower
+    bracket above 1e-300, MOROZOV_MAX_STEPS spent or a non-finite residual)
+    is flagged "not-converged". This is a one-row call into the sweep kernel.
     """
     if delta <= 0.0:
         raise ConfigurationError(f"discrepancy level must be positive, got {delta}")
     phit = data.weighted_rhs(rhs)
-    ceiling = float(np.linalg.norm(phit))
-    floor = data.residual_floor(phit)
-
-    if delta >= ceiling:
-        psi = _unweight(data, np.zeros_like(phit))
-        return MorozovResult(math.inf, psi, ceiling, delta, "infeasible-high", floor, ceiling)
-    if delta <= floor:
-        s = data.singular_values
-        beta = data.U.conj().T @ phit
-        pos = s > 0.0
-        psit = data.Vh.conj().T[:, pos] @ (beta[pos] / s[pos])
-        return MorozovResult(0.0, _unweight(data, psit), floor, delta, "infeasible-low",
-                             floor, ceiling)
-
-    s1 = float(data.singular_values[0])
-    hi = max(s1**2, 1.0)
-    _, r_hi = _solve_weighted(data, phit, hi)
-    while r_hi < delta:
-        hi *= 16.0
-        _, r_hi = _solve_weighted(data, phit, hi)
-    lo = hi
-    _, r_lo = _solve_weighted(data, phit, lo)
-    while r_lo > delta:
-        lo /= 16.0
-        if lo < 1e-300:
-            break
-        _, r_lo = _solve_weighted(data, phit, lo)
-
-    alpha = math.sqrt(lo * hi)
-    for _ in range(300):
-        alpha = math.sqrt(lo * hi)
-        psit, res = _solve_weighted(data, phit, alpha)
-        if abs(res - delta) <= MOROZOV_RTOL * delta:
-            break
-        if res < delta:
-            lo = alpha
-        else:
-            hi = alpha
-    psit, res = _solve_weighted(data, phit, alpha)
-    return MorozovResult(alpha, _unweight(data, psit), res, delta, "ok", floor, ceiling)
+    row = _morozov_rows(data, phit[None, :], np.array([float(delta)]))
+    filtered = _tikhonov_filter(data.singular_values, row.alpha)[0] * row.beta[0]
+    psit = data.Vh.conj().T @ filtered
+    return MorozovResult(float(row.alpha[0]), _unweight(data, psit), float(row.residual[0]),
+                         delta, str(row.flag[0]), float(row.floor[0]), float(row.ceiling[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +289,8 @@ class IndicatorMap:
     epsilon: float
     directions: str
     N: int
+    flag: np.ndarray  # (P,) Morozov flag (one of FLAGS) of the maximizing direction
+    steps: np.ndarray  # (P,) its bisection steps
 
     def __len__(self) -> int:
         return len(self.points)
@@ -248,6 +315,11 @@ def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rul
                   trace_computer: SingularTraceComputer | None = None) -> IndicatorMap:
     """Sweep the sampling grid: Morozov-regularized solve per point and direction.
 
+    All points and directions are solved together: their weighted dipole
+    traces are stacked into one (P * ndir, 2N) array and a single
+    whole-array bisection selects every alpha at once (see ``morozov_alpha``
+    for the per-row rule and flags).
+
     Parameters
     ----------
     data : RelativeData
@@ -257,10 +329,11 @@ def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rul
     delta_rule : dict with key ``epsilon``; per point delta = epsilon * ||phi_y||_{1/2}
     directions : "max-xy" (default), "x" or "y"
         The indicator is the maximum of ||psi||_{-1/2} over the listed dipole
-        directions; alpha and feasibility follow the maximizing direction.
+        directions; alpha and feasibility follow the maximizing direction
+        (the first one on ties).
     threads : int
-        Worker threads for the per-point solves (results are ordered, so the
-        output is independent of the thread count).
+        Accepted for compatibility; it has no effect, since the sweep is one
+        whole-array computation.
     """
     try:
         spacing = float(grid_spec["spacing"])
@@ -282,52 +355,51 @@ def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rul
     dirs = _DIRECTION_SETS[directions]
     pts = grid_points(spacing, r_max)
     n_pts = len(pts)
-    out = IndicatorMap(
+    phit = np.zeros((0, 2 * data.N), dtype=complex)
+    if n_pts:
+        if trace_computer is None:
+            trace_computer = SingularTraceComputer(mesh, data.N)
+        ys = np.repeat(pts, len(dirs), axis=0)
+        ds = np.tile(np.asarray(dirs, dtype=float), (n_pts, 1))
+        phit = trace_computer.trace_batch(ys, ds) * data.weights  # (P * ndir, 2N)
+    delta = epsilon * np.linalg.norm(phit, axis=1)
+    rows = _morozov_rows(data, phit, delta)
+
+    best = np.arange(n_pts) * len(dirs) + rows.indicator.reshape(n_pts, len(dirs)).argmax(axis=1)
+    return IndicatorMap(
         points=pts,
-        indicator=np.zeros(n_pts),
-        alpha=np.zeros(n_pts),
-        feasible=np.zeros(n_pts, dtype=bool),
-        residual=np.zeros(n_pts),
-        delta=np.zeros(n_pts),
+        indicator=rows.indicator[best],
+        alpha=rows.alpha[best],
+        feasible=rows.flag[best] == "ok",
+        residual=rows.residual[best],
+        delta=delta[best],
         spacing=spacing,
         r_max=r_max,
         epsilon=epsilon,
         directions=directions,
         N=data.N,
+        flag=rows.flag[best],
+        steps=rows.steps[best],
     )
-    if n_pts == 0:
-        return out
 
-    if trace_computer is None:
-        trace_computer = SingularTraceComputer(mesh, data.N)
-    ys = np.repeat(pts, len(dirs), axis=0)
-    ds = np.tile(np.asarray(dirs, dtype=float), (n_pts, 1))
-    traces = trace_computer.trace_batch(ys, ds)  # (P * ndir, 2N)
 
-    def sweep_point(k: int):
-        best = None
-        for d in range(len(dirs)):
-            phi = BoundaryField(traces[k * len(dirs) + d], data.N, smoothness=0.5)
-            delta = epsilon * phi.sobolev_norm()
-            res = morozov_alpha(data, phi, delta)
-            norm = res.psi.sobolev_norm()
-            if best is None or norm > best[0]:
-                best = (norm, res)
-        return best
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(sweep_point, range(n_pts)))
-    else:
-        results = [sweep_point(k) for k in range(n_pts)]
-
-    for k, (norm, res) in enumerate(results):
-        out.indicator[k] = norm
-        out.alpha[k] = res.alpha
-        out.feasible[k] = res.feasible
-        out.residual[k] = res.residual
-        out.delta[k] = res.delta
-    return out
+def support_cutoff(imap: IndicatorMap, rule: str = "multiplier",
+                   c: float = DEFAULT_CUTOFF_MULTIPLIER, q: float = 0.1,
+                   use_alpha: bool = False) -> float:
+    """Threshold of ``estimate_support``: inside is I(y) <= it (alpha(y) >= it)."""
+    feasible = imap.feasible
+    if len(imap) == 0 or not feasible.any():
+        raise EstimationError("no feasible sweep point; cannot estimate the support")
+    values = (imap.alpha if use_alpha else imap.indicator)[feasible]
+    if rule == "multiplier":
+        if c < 1.0:
+            raise ConfigurationError(f"cut-off multiplier must be >= 1, got {c}")
+        return float(values.max() / c if use_alpha else c * values.min())
+    if rule == "quantile":
+        if not (0.0 < q < 1.0):
+            raise ConfigurationError(f"quantile must lie in (0, 1), got {q}")
+        return float(np.quantile(values, 1.0 - q if use_alpha else q))
+    raise ConfigurationError(f"unknown cut-off rule {rule!r}")
 
 
 def estimate_support(imap: IndicatorMap, rule: str = "multiplier",
@@ -341,27 +413,31 @@ def estimate_support(imap: IndicatorMap, rule: str = "multiplier",
     the regularization parameter, which is large inside: alpha(y) >= max/c.
     Infeasible points are never marked inside.
     """
+    cut = support_cutoff(imap, rule, c, q, use_alpha)
+    mask = imap.alpha >= cut if use_alpha else imap.indicator <= cut
+    return mask & imap.feasible
+
+
+def sweep_diagnostics(imap: IndicatorMap, cutoff: float) -> dict:
+    """Flag counts, then over feasible points: bisection steps, alpha and
+    indicator ranges, and the distance from the indicator ``cutoff`` to the
+    nearest value at or below it and above it (None when a side is empty)."""
     feasible = imap.feasible
-    if len(imap) == 0 or not feasible.any():
-        raise EstimationError("no feasible sweep point; cannot estimate the support")
-    values = imap.alpha if use_alpha else imap.indicator
-    if rule == "multiplier":
-        if c < 1.0:
-            raise ConfigurationError(f"cut-off multiplier must be >= 1, got {c}")
-        if use_alpha:
-            mask = values >= values[feasible].max() / c
-        else:
-            mask = values <= c * values[feasible].min()
-    elif rule == "quantile":
-        if not (0.0 < q < 1.0):
-            raise ConfigurationError(f"quantile must lie in (0, 1), got {q}")
-        if use_alpha:
-            mask = values >= np.quantile(values[feasible], 1.0 - q)
-        else:
-            mask = values <= np.quantile(values[feasible], q)
-    else:
-        raise ConfigurationError(f"unknown cut-off rule {rule!r}")
-    return mask & feasible
+    values = imap.indicator[feasible]
+    below, above = values[values <= cutoff], values[values > cutoff]
+    return {
+        "flags": {name: int((imap.flag == name).sum()) for name in FLAGS},
+        "morozov_steps": {"median": float(np.median(imap.steps[feasible])),
+                          "max": int(imap.steps[feasible].max())},
+        "alpha": {"min": float(imap.alpha[feasible].min()),
+                  "max": float(imap.alpha[feasible].max())},
+        "indicator": {"min": float(values.min()), "max": float(values.max())},
+        "cutoff": {
+            "value": cutoff,
+            "gap_below": float(cutoff - below.max()) if below.size else None,
+            "gap_above": float(above.min() - cutoff) if above.size else None,
+        },
+    }
 
 
 @dataclass(eq=False)

@@ -145,6 +145,16 @@ def test_reconstruct_outputs(small_run):
     manifest = json.loads((out / "reconstruct_manifest.json").read_text())
     assert manifest["mode"] == "reconstruct"
     assert manifest["feasible_points"] > 0
+    diagnostics = manifest["diagnostics"]
+    flags = diagnostics["flags"]
+    assert set(flags) == {"ok", "infeasible-low", "infeasible-high", "not-converged"}
+    assert sum(flags.values()) == manifest["total_points"]
+    assert flags["ok"] == manifest["feasible_points"]
+    assert 0 < diagnostics["morozov_steps"]["median"] <= diagnostics["morozov_steps"]["max"]
+    assert diagnostics["alpha"]["min"] <= diagnostics["alpha"]["max"]
+    cut = diagnostics["cutoff"]
+    assert cut["value"] == pytest.approx(70.0 * diagnostics["indicator"]["min"])
+    assert cut["gap_below"] >= 0.0 and cut["gap_above"] > 0.0
 
 
 def test_reconstruct_rerun_identical(small_run):
@@ -163,6 +173,20 @@ def test_reconstruct_threads_match(small_run, tmp_path):
         (out2 / n).write_bytes((out / n).read_bytes())
     assert main(["reconstruct", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
     assert (out2 / "indicator.csv").read_bytes() == (out / "indicator.csv").read_bytes()
+
+
+def test_reconstruct_refuses_mixed_runs(small_run, tmp_path, capsys):
+    tmp, _, out = small_run
+    run = tmp_path / "mixed"
+    run.mkdir()
+    for n in ("measured.nd", "background.nd", "simulate_manifest.json"):
+        (run / n).write_bytes((out / n).read_bytes())
+    for change, field in (({"h_target": 0.1}, "mesh.h_target"), ({"N": 6}, "N")):
+        cfg = write_config(tmp_path, dict(SMALL_RUN, **change))
+        assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"{field} is" in err
+    assert not (run / "indicator.csv").exists()
 
 
 def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):

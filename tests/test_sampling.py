@@ -24,7 +24,7 @@ from eitlsm import (
     write_indicator_pgm,
     write_mask_csv,
 )
-from eitlsm.sampling import _solve_weighted
+from eitlsm.sampling import _morozov_rows, _solve_weighted
 from conftest import two_phase_diagonal
 
 
@@ -212,6 +212,60 @@ def test_noise_monotonicity_in_delta():
     assert (np.diff(norms) <= 0).all()
 
 
+def test_morozov_underflow_not_converged():
+    # s_2^2 underflows to 0, so the residual never drops below 1 > delta and
+    # the lower bracket runs out at 1e-300: flagged, never reported as "ok"
+    data = RelativeData(np.diag([1.0, 1e-200]), 1)
+    res = morozov_alpha(data, BoundaryField([1.0, 1.0], 1, 0.5), 0.5)
+    assert res.flag == "not-converged"
+    assert not res.feasible
+
+
+def test_morozov_batch_rows_are_independent():
+    # dense data whose zero first row and column give an exact zero singular
+    # value, with the mode n = -N as its null direction
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    dense[0, :] = dense[:, 0] = 0.0
+    data = RelativeData(0.1 * dense, 8)
+    rhs, delta, kinds = [], [], []
+    for k in range(12):
+        coeffs = rng.standard_normal(2 * data.N) + 1j * rng.standard_normal(2 * data.N)
+        kind = ("high", "low", "ok")[k % 3]
+        if kind == "ok":
+            coeffs[0] = 0.0  # nothing on the null direction: floor 0
+        phit = data.weighted_rhs(BoundaryField(coeffs, data.N, 0.5))
+        ceiling = np.linalg.norm(phit)
+        floor = abs(phit[0])
+        rhs.append(phit)
+        delta.append({"high": 1.2 * ceiling, "low": 0.5 * floor,
+                      "ok": (0.3, 0.03, 0.003)[k // 3 % 3] * ceiling}[kind])
+        kinds.append(kind)
+    phit, delta, kinds = np.array(rhs), np.array(delta), np.array(kinds)
+    batch = _morozov_rows(data, phit, delta)
+    assert list(batch.flag) == [{"high": "infeasible-high", "low": "infeasible-low",
+                                 "ok": "ok"}[k] for k in kinds]
+
+    for i in range(len(phit)):
+        alone = _morozov_rows(data, phit[i:i + 1], delta[i:i + 1])
+        for name in ("alpha", "residual", "indicator"):
+            assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[i].tobytes()
+        field = BoundaryField(phit[i] / data.weights, data.N, 0.5)
+        single = morozov_alpha(data, field, delta[i])
+        assert single.flag == batch.flag[i]
+
+    ok, high, low = kinds == "ok", kinds == "high", kinds == "low"
+    for i in np.flatnonzero(ok):
+        psit, residual = _solve_weighted(data, phit[i], batch.alpha[i])
+        assert residual == pytest.approx(batch.residual[i], rel=1e-12)
+        assert np.linalg.norm(psit) == pytest.approx(batch.indicator[i], rel=1e-12)
+        assert abs(batch.residual[i] - delta[i]) <= 1e-6 * delta[i]
+    assert np.isinf(batch.alpha[high]).all() and (batch.indicator[high] == 0.0).all()
+    assert (batch.alpha[low] == 0.0).all()
+    min_norm = np.linalg.norm(phit[low] @ np.linalg.pinv(data.weighted).T, axis=1)
+    np.testing.assert_allclose(batch.indicator[low], min_norm, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # sweep and support estimate
 
@@ -256,6 +310,7 @@ def small_sweep(mesh05, concentric_nd05, background_nd05):
 def test_indicator_finite_positive_at_feasible_points(small_sweep):
     _, _, imap = small_sweep
     assert imap.feasible.all()
+    assert (imap.flag == "ok").all() and (imap.steps > 0).all()
     assert np.isfinite(imap.indicator).all()
     assert (imap.indicator > 0).all()
     assert (np.linalg.norm(imap.points, axis=1) < 1.0).all()

@@ -11,12 +11,8 @@ from .dipole import (
     AuxCircle,
     DipoleSpec,
     SingularTraceComputer,
-    dipole_field,
-    greens_function,
     layer_current_matrix,
     layer_current_multipliers,
-    single_layer_gradient,
-    single_layer_interior,
     singular_trace,
 )
 from .errors import ConfigurationError, EstimationError, SolverError, ToolkitError
@@ -39,9 +35,7 @@ from .geometry import (
     fourier_modes,
     fourier_projector,
     fourier_to_trace,
-    load_mesh,
     max_edge_length,
-    save_mesh,
     trace_to_fourier,
     triangle_areas,
 )

@@ -33,7 +33,7 @@ from .forward import (
     save_nd_map,
 )
 from .geometry import BoundaryField, build_disk_mesh, fourier_modes
-from .media import check_absorption, load_scenario, parse_scenario
+from .media import check_absorption, json_number, load_scenario, parse_scenario
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
     RelativeData,
@@ -49,7 +49,7 @@ from .sampling import (
     write_mask_csv,
 )
 
-FORMAT_VERSIONS = {"ndmap": 1, "mesh": 1, "indicator_csv": 1, "mask_csv": 1, "manifest": 1}
+FORMAT_VERSIONS = {"ndmap": 1, "indicator_csv": 1, "mask_csv": 1, "manifest": 1}
 
 _DEFAULTS = {
     "scenario": None,
@@ -77,7 +77,6 @@ class RunConfig:
     epsilon: float
     cutoff: dict
     directions: str
-    threads: int
     measured_path: str
     background_path: str
     raw: dict = field(default_factory=dict)
@@ -116,19 +115,23 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     else:
         raise ConfigurationError("config.scenario: expected a path or an inline object")
 
-    h_target = float(doc.get("h_target", _DEFAULTS["h_target"]))
+    top = {**_DEFAULTS, **doc}
+    h_target = json_number(top["h_target"], "config.h_target")
     if not (0.0 < h_target <= 0.5):
         raise ConfigurationError(f"config.h_target: must lie in (0, 0.5], got {h_target}")
-    n_order = int(doc.get("N", _DEFAULTS["N"]))
+    n_order = json_number(top["N"], "config.N", integer=True)
     if n_order < 1:
         raise ConfigurationError(f"config.N: must be >= 1, got {n_order}")
-    level = float(noise["level"])
+    level = json_number(noise["level"], "config.noise.level")
     if not (0.0 <= level < 1.0):
         raise ConfigurationError(f"config.noise.level: must lie in [0, 1), got {level}")
-    epsilon = float(delta["epsilon"])
+    seed = json_number(noise["seed"], "config.noise.seed", integer=True)
+    if seed < 0:
+        raise ConfigurationError(f"config.noise.seed: must be >= 0, got {seed}")
+    epsilon = json_number(delta["epsilon"], "config.delta_rule.epsilon")
     if epsilon <= 0.0:
         raise ConfigurationError(f"config.delta_rule.epsilon: must be positive, got {epsilon}")
-    threads = int(doc.get("threads", _DEFAULTS["threads"]))
+    threads = json_number(top["threads"], "config.threads", integer=True)
     if threads < 1:
         raise ConfigurationError(f"config.threads: must be >= 1, got {threads}")
     if cutoff["rule"] not in ("multiplier", "quantile"):
@@ -141,14 +144,14 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
         h_target=h_target,
         N=n_order,
         noise_level=level,
-        noise_seed=int(noise["seed"]),
-        grid={"spacing": float(grid["spacing"]), "r_max": float(grid["r_max"])},
+        noise_seed=seed,
+        grid={key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")},
         epsilon=epsilon,
-        cutoff=cutoff,
-        directions=str(doc.get("directions", _DEFAULTS["directions"])),
-        threads=threads,
-        measured_path=str(doc.get("measured_path", _DEFAULTS["measured_path"])),
-        background_path=str(doc.get("background_path", _DEFAULTS["background_path"])),
+        cutoff={"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
+                "q": json_number(cutoff["q"], "config.cutoff.q")},
+        directions=str(top["directions"]),
+        measured_path=str(top["measured_path"]),
+        background_path=str(top["background_path"]),
         raw=doc,
     )
 
@@ -157,10 +160,8 @@ def load_run_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config {path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # missing, unreadable, not text or not JSON
+        raise ConfigurationError(f"config {path}: cannot read a JSON document ({exc})") from None
     return parse_run_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -249,9 +250,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
         # keep the evidence without clobbering any earlier successful output
         write_indicator_csv(imap, os.path.join(out_dir, "indicator_infeasible.csv"))
         raise EstimationError("every sweep point is infeasible at this discrepancy level")
-    cutoff = {"rule": cfg.cutoff["rule"], "c": float(cfg.cutoff["c"]),
-              "q": float(cfg.cutoff["q"])}
-    mask = estimate_support(imap, **cutoff)
+    mask = estimate_support(imap, **cfg.cutoff)
     indicator_path = os.path.join(out_dir, "indicator.csv")
     mask_path = os.path.join(out_dir, "mask.csv")
     image_path = os.path.join(out_dir, "indicator.pgm")
@@ -265,7 +264,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
         "cutoff": cfg.cutoff,
         "feasible_points": int(imap.feasible.sum()),
         "total_points": len(imap),
-        "diagnostics": sweep_diagnostics(imap, support_cutoff(imap, **cutoff)),
+        "diagnostics": sweep_diagnostics(imap, support_cutoff(imap, **cfg.cutoff)),
         "files": ["indicator.csv", "mask.csv", "indicator.pgm"],
     })
     return {"indicator": indicator_path, "mask": mask_path, "image": image_path,
@@ -379,11 +378,11 @@ def main(argv=None) -> int:
             cfg = load_run_config(args.config)
         else:
             cfg = parse_run_config({})
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-            cfg.threads = args.threads
+        if args.threads is not None and args.threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
             cfg.noise_seed = args.seed
 
         if args.command == "simulate":

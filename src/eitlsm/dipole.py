@@ -6,12 +6,12 @@ Neumann correction yields the singular solution whose boundary trace drives
 the sampling equation. The additive constant of the singular solution is
 absorbed by working in zero-mean Fourier coordinates throughout.
 
-Layer potentials live on an auxiliary circle of radius R > 1 enclosing the
-body. The single layer with the logarithmic kernel is discretized by the
-periodic trapezoid rule (geometrically convergent here, since the kernel
-between the two circles is analytic); its boundary normal derivative maps
-density samples to zero-mean boundary currents and is also available in
-closed Fourier form with mode multiplier (1/2) R^(1-|k|).
+Layer densities live on an auxiliary circle of radius R > 1 enclosing the
+body. The boundary normal derivative of their single layer (logarithmic
+kernel, periodic trapezoid rule, geometrically convergent since the kernel
+between the two circles is analytic) maps density samples to zero-mean
+boundary currents; it is also available in closed Fourier form with mode
+multiplier (1/2) R^(1-|k|).
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .forward import FemSystem, assemble_system
+from .forward import assemble_system
 from .geometry import BoundaryField, DiskMesh, fourier_modes, fourier_projector
 from .media import AdmittanceField, InclusionGeometry
 
 __all__ = [
     "DipoleSpec",
     "AuxCircle",
-    "dipole_field",
-    "greens_function",
     "SingularTraceComputer",
     "singular_trace",
-    "single_layer_interior",
-    "single_layer_gradient",
     "layer_current_matrix",
     "layer_current_multipliers",
 ]
@@ -97,25 +93,6 @@ class AuxCircle:
             )
 
 
-def dipole_field(x, spec: DipoleSpec) -> float:
-    """a . Psi(x - y) = -(1/2pi) a.(x - y)/|x - y|^2 at a single point."""
-    x = np.asarray(x, dtype=float)
-    d = x - np.asarray(spec.y)
-    r2 = float(d @ d)
-    if r2 == 0.0:
-        raise ConfigurationError("dipole field evaluated at its own singularity")
-    return float(-(d @ np.asarray(spec.direction)) / (2.0 * np.pi * r2))
-
-
-def greens_function(x, z) -> float:
-    """Laplace Green's function (1/2pi) log(1/|x - z|)."""
-    d = np.asarray(x, dtype=float) - np.asarray(z, dtype=float)
-    r = float(np.hypot(*d))
-    if r == 0.0:
-        raise ConfigurationError("Green's function evaluated at coincident points")
-    return float(np.log(1.0 / r) / (2.0 * np.pi))
-
-
 def _dipole_boundary_values(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """a . Psi(x - y) at boundary points for a batch of (y, a); shape (B, nb)."""
     d = bpts[None, :, :] - ys[:, None, :]
@@ -148,16 +125,11 @@ class SingularTraceComputer:
     number of dipoles.
     """
 
-    def __init__(self, mesh: DiskMesh, N: int, system: FemSystem | None = None):
+    def __init__(self, mesh: DiskMesh, N: int):
         self._projector = fourier_projector(mesh, N)
         self.mesh = mesh
         self.N = N
-        if system is None:
-            background = AdmittanceField(InclusionGeometry(components=[]), [])
-            system = assemble_system(mesh, background)
-        elif not system.admittance.is_background():
-            raise ConfigurationError("singular traces require the background system")
-        self.system = system
+        system = assemble_system(mesh, AdmittanceField(InclusionGeometry(components=[]), []))
         self._response = self._projector @ system.boundary_solve(np.eye(mesh.n_boundary))
         self._clearance = 2.0 * mesh.h_target
 
@@ -206,38 +178,6 @@ def singular_trace(mesh: DiskMesh, spec: DipoleSpec, N: int) -> BoundaryField:
 
 # ---------------------------------------------------------------------------
 # Layer potentials on the auxiliary circle
-
-
-def single_layer_interior(aux: AuxCircle, points) -> np.ndarray:
-    """Matrix of the single layer at interior points: (S w)_p = sum_q G(x_p, z_q) w_q ds.
-
-    Valid for targets off the auxiliary circle; realizes both the interior
-    potential and (with targets on an inclusion boundary) the trace operator
-    into the inclusion.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    nodes = aux.nodes
-    d = points[:, None, :] - nodes[None, :, :]
-    r2 = np.einsum("pqi,pqi->pq", d, d)
-    if (r2 < 1e-24).any():
-        raise ConfigurationError("single-layer target coincides with a quadrature node")
-    return (-0.5 * np.log(r2) / (2.0 * np.pi)) * aux.weight
-
-
-def single_layer_gradient(aux: AuxCircle, points) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of the gradient of the single layer at interior points.
-
-    Row p of the pair gives d/dx and d/dy of the potential at x_p as linear
-    functionals of the density samples (grad_x G(x,z) = Psi(x - z)).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    nodes = aux.nodes
-    d = points[:, None, :] - nodes[None, :, :]
-    r2 = np.einsum("pqi,pqi->pq", d, d)
-    if (r2 < 1e-24).any():
-        raise ConfigurationError("single-layer target coincides with a quadrature node")
-    scale = -aux.weight / (2.0 * np.pi)
-    return scale * d[..., 0] / r2, scale * d[..., 1] / r2
 
 
 def layer_current_matrix(aux: AuxCircle, N: int, n_theta: int | None = None) -> np.ndarray:

@@ -54,8 +54,6 @@ class NdMap:
     matrix: np.ndarray
     N: int
     provenance: str
-    source_smoothness: float = -0.5
-    target_smoothness: float = 0.5
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -71,7 +69,7 @@ class NdMap:
     def apply(self, fld: BoundaryField) -> BoundaryField:
         if fld.N != self.N:
             raise ConfigurationError(f"field order {fld.N} does not match map order {self.N}")
-        return BoundaryField(self.matrix @ fld.coeffs, self.N, self.target_smoothness)
+        return BoundaryField(self.matrix @ fld.coeffs, self.N, smoothness=0.5)
 
     def symmetry_defect(self) -> float:
         """Relative reciprocity defect ||M - M_sym|| / ||M|| (Frobenius)."""
@@ -86,19 +84,16 @@ def reciprocity_defect(matrix: np.ndarray) -> float:
 class FemSystem:
     """Assembled and factorized Neumann system on a disk mesh.
 
-    Holds the complex-symmetric stiffness matrix for int gamma grad(u).grad(v),
-    the boundary mean-constraint vector and the LU factorization of the
-    Lagrange-augmented system. The factorization is reused by every solve;
+    Holds the complex-symmetric stiffness matrix for int gamma grad(u).grad(v)
+    and the LU factorization of the system augmented by the boundary
+    mean-constraint vector. The factorization is reused by every solve;
     it is immutable and safe to share read-only. ``assemble_system`` also
     records its coercivity verdict as ``coercivity``.
     """
 
-    def __init__(self, mesh: DiskMesh, stiffness: sp.csc_matrix, constraint: np.ndarray,
-                 admittance: AdmittanceField):
+    def __init__(self, mesh: DiskMesh, stiffness: sp.csc_matrix, constraint: np.ndarray):
         self.mesh = mesh
         self.stiffness = stiffness
-        self.constraint = constraint
-        self.admittance = admittance
         augmented = sp.bmat(
             [[stiffness, sp.csc_matrix(constraint[:, None])],
              [sp.csc_matrix(constraint[None, :]), None]],
@@ -137,8 +132,7 @@ class FemSystem:
         return sol[mesh.boundary]
 
 
-def assemble_system(mesh: DiskMesh, admittance: AdmittanceField,
-                    z_grid_size: int = 64) -> FemSystem:
+def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     """Assemble the P1 stiffness matrix with gamma frozen at centroids.
 
     The coercivity assumption is checked on the triangle centroids first;
@@ -147,7 +141,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField,
     """
     verts, tris = mesh.vertices, mesh.triangles
     centroids = verts[tris].mean(axis=1)
-    verdict = check_coercivity(admittance, centroids, z_grid_size=z_grid_size)
+    verdict = check_coercivity(admittance, centroids)
     if not verdict["holds"]:
         raise SolverError(
             "admittance fails the coercivity assumption on this mesh "
@@ -176,7 +170,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField,
     ell = mesh.boundary_edge_lengths()
     constraint = np.zeros(mesh.n_vertices)
     constraint[mesh.boundary] = 0.5 * (ell + np.roll(ell, 1))
-    system = FemSystem(mesh, stiffness, constraint, admittance)
+    system = FemSystem(mesh, stiffness, constraint)
     system.coercivity = verdict
     return system
 
@@ -256,7 +250,7 @@ def save_nd_map(nd: NdMap, path) -> None:
 def load_nd_map(path) -> NdMap:
     """Read the text ND-map format written by :func:`save_nd_map`."""
     try:
-        fh = open(path)
+        fh = open(path, errors="replace")  # undecodable bytes fail as non-numeric entries
     except FileNotFoundError:
         raise ConfigurationError(f"ND-map file not found: {path}") from None
     with fh:
@@ -278,12 +272,12 @@ def load_nd_map(path) -> NdMap:
             if len(tokens) != 4 * N:
                 raise ConfigurationError(f"ND-map row {k} in {path} has {len(tokens)} values")
             try:
-                arr = np.array([float(t) for t in tokens]).reshape(2 * N, 2)
+                row = np.array([float(t) for t in tokens])
             except ValueError:
                 raise ConfigurationError(f"ND-map row {k} in {path} has a non-numeric entry") from None
-            if not np.isfinite(arr).all():
+            if not np.isfinite(row).all():
                 raise ConfigurationError(f"ND-map row {k} in {path} has a non-finite entry")
-            rows.append(arr[:, 0] + 1j * arr[:, 1])
+            rows.append(row.view(complex))  # (re, im) pairs, bit-exact with signed zeros
         if fh.read().strip():
             raise ConfigurationError(f"ND-map row {2 * N} in {path} is extra: N={N} gives {2 * N} rows")
     return NdMap(matrix=np.stack(rows), N=N, provenance=provenance)

@@ -31,8 +31,6 @@ __all__ = [
     "fourier_to_trace",
     "triangle_areas",
     "max_edge_length",
-    "save_mesh",
-    "load_mesh",
 ]
 
 
@@ -258,45 +256,3 @@ def fourier_to_trace(field: BoundaryField, mesh: DiskMesh) -> np.ndarray:
     E = np.exp(1j * np.outer(theta, field.modes))
     return E @ field.coeffs
 
-
-def save_mesh(mesh: DiskMesh, path) -> None:
-    """Write the plain-text mesh format.
-
-    Layout: header ``vertices <nv> triangles <nt> boundary <nb> h_target <h>``,
-    then nv lines ``x y``, nt lines ``a b c``, nb lines of boundary indices.
-    Coordinates use 17 significant digits and round-trip bit-exactly.
-    """
-    with open(path, "w") as fh:
-        fh.write(
-            f"vertices {mesh.n_vertices} triangles {len(mesh.triangles)} "
-            f"boundary {mesh.n_boundary} h_target {mesh.h_target!r}\n"
-        )
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")
-        for k in mesh.boundary:
-            fh.write(f"{k}\n")
-
-
-def load_mesh(path) -> DiskMesh:
-    """Read the plain-text mesh format written by :func:`save_mesh`."""
-    try:
-        fh = open(path)
-    except FileNotFoundError:
-        raise ConfigurationError(f"mesh file not found: {path}") from None
-    with fh:
-        header = fh.readline().split()
-        if len(header) != 8 or header[0] != "vertices" or header[2] != "triangles" \
-                or header[4] != "boundary" or header[6] != "h_target":
-            raise ConfigurationError(f"malformed mesh header: {' '.join(header)}")
-        nv, nt, nb = int(header[1]), int(header[3]), int(header[5])
-        h_target = float(header[7])
-        vertices = np.array(
-            [[float(t) for t in fh.readline().split()] for _ in range(nv)]
-        )
-        triangles = np.array(
-            [[int(t) for t in fh.readline().split()] for _ in range(nt)], dtype=int
-        )
-        boundary = np.array([int(fh.readline()) for _ in range(nb)], dtype=int)
-    return DiskMesh(vertices=vertices, triangles=triangles, boundary=boundary, h_target=h_target)

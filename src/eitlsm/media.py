@@ -1,8 +1,8 @@
 """Admittance distributions gamma = I + h on inclusion supports.
 
 An inclusion is a union of disks/ellipses strictly inside the unit disk,
-each carrying a 2x2 complex symmetric perturbation h (constant or a
-pointwise callable). The two model assumptions are verified numerically:
+each carrying a constant 2x2 complex symmetric perturbation h. The two
+model assumptions are verified numerically:
 
 * coercivity  -- Re(z conj(zeta) . gamma(x) zeta) >= alpha |zeta|^2 for some
   unimodular z, checked by scanning z on a grid of the unit circle and
@@ -167,8 +167,7 @@ class AdmittanceField:
     ----------
     geometry : InclusionGeometry
     perturbations : list, one entry per geometry component
-        Each entry is a constant 2x2 complex symmetric matrix or a callable
-        point -> 2x2 matrix (C^1 smoothness is the caller's responsibility).
+        Each entry is a constant 2x2 complex symmetric matrix.
     absorption_region : list of shapes or None
         Open subset of D on which the absorption assumption is claimed;
         defaults to the whole inclusion.
@@ -181,30 +180,15 @@ class AdmittanceField:
                 f"{len(geometry.components)} inclusion components"
             )
         self.geometry = geometry
-        self.perturbations = []
-        for k, h in enumerate(perturbations):
-            if callable(h):
-                self.perturbations.append(h)
-            else:
-                self.perturbations.append(_as_h_matrix(h, f"component {k}"))
+        self.perturbations = [_as_h_matrix(h, f"component {k}") for k, h in enumerate(perturbations)]
         self.absorption_region = absorption_region
-
-    def is_background(self) -> bool:
-        return not self.geometry.components
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """gamma at many points, shape (npts, 2, 2); no domain check."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.broadcast_to(_IDENTITY, (len(points), 2, 2)).copy()
         for shape, h in zip(self.geometry.components, self.perturbations):
-            mask = shape.contains(points)
-            if not mask.any():
-                continue
-            if callable(h):
-                for idx in np.nonzero(mask)[0]:
-                    out[idx] += _as_h_matrix(h(points[idx]), "callable perturbation")
-            else:
-                out[mask] += h
+            out[shape.contains(points)] += h
         return out
 
     def absorption_sample_points(self) -> np.ndarray:
@@ -272,16 +256,15 @@ def check_coercivity(fld: AdmittanceField, sample_points, z_grid_size: int = 64)
     return best
 
 
-def check_absorption(fld: AdmittanceField, sample_points=None) -> dict:
+def check_absorption(fld: AdmittanceField) -> dict:
     """Verify Im(conj(zeta) . h zeta) <= -beta |zeta|^2 on the absorption region.
 
     beta is minus the largest eigenvalue of Im h (a real symmetric matrix
-    for symmetric h) over the sample points. With no sample points the
-    verdict is negative and carries an explanatory ``reason``.
+    for symmetric h) over :meth:`AdmittanceField.absorption_sample_points`.
+    With no sample points the verdict is negative and carries an explanatory
+    ``reason``.
     """
-    if sample_points is None:
-        sample_points = fld.absorption_sample_points()
-    sample_points = np.asarray(sample_points, dtype=float).reshape(-1, 2)
+    sample_points = fld.absorption_sample_points()
     if len(sample_points) == 0:
         return {"holds": False, "beta": 0.0, "reason": "absorption region is empty"}
     gam = fld.evaluate_batch(sample_points)
@@ -294,12 +277,37 @@ def check_absorption(fld: AdmittanceField, sample_points=None) -> dict:
 # Scenario documents
 
 
+def json_number(value, where: str, integer: bool = False):
+    """A finite JSON number as float, or as int when ``integer``.
+
+    Bools, strings, other types, non-finite values and (with ``integer``)
+    non-integral values raise ConfigurationError naming ``where``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = np.inf
+    if not np.isfinite(number):
+        raise ConfigurationError(f"{where}: must be finite, got {value!r}")
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise ConfigurationError(f"{where}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _pair(v, where: str) -> tuple[float, float]:
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise ConfigurationError(f"{where}: expected a pair of numbers, got {v!r}")
+    return json_number(v[0], f"{where}[0]"), json_number(v[1], f"{where}[1]")
+
+
 def _complex_from_json(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigurationError(f"{where}: expected a number or [re, im] pair, got {v!r}")
+    if isinstance(v, (list, tuple)):
+        return complex(*_pair(v, where))
+    return complex(json_number(v, where))
 
 
 def _shape_from_json(spec, where: str) -> Shape:
@@ -310,24 +318,19 @@ def _shape_from_json(spec, where: str) -> Shape:
         "disk": {"shape", "center", "radius"},
         "ellipse": {"shape", "center", "semi_axes", "tilt"},
     }
-    if kind not in known:
+    if not (isinstance(kind, str) and kind in known):
         raise ConfigurationError(f"{where}.shape: expected 'disk' or 'ellipse', got {kind!r}")
     extra = set(spec) - known[kind] - {"h"}
     if extra:
         raise ConfigurationError(f"{where}: unknown keys {sorted(extra)}")
-    try:
-        center = (float(spec["center"][0]), float(spec["center"][1]))
-    except (KeyError, TypeError, IndexError, ValueError):
-        raise ConfigurationError(f"{where}.center: expected [x, y]") from None
+    for key in sorted(known[kind] - {"tilt"}):
+        if key not in spec:
+            raise ConfigurationError(f"{where}.{key}: missing")
+    center = _pair(spec["center"], f"{where}.center")
     if kind == "disk":
-        if "radius" not in spec:
-            raise ConfigurationError(f"{where}.radius: missing")
-        return Disk(center=center, radius=float(spec["radius"]))
-    if "semi_axes" not in spec:
-        raise ConfigurationError(f"{where}.semi_axes: missing")
-    axes = spec["semi_axes"]
-    return Ellipse(center=center, semi_axes=(float(axes[0]), float(axes[1])),
-                   tilt=float(spec.get("tilt", 0.0)))
+        return Disk(center=center, radius=json_number(spec["radius"], f"{where}.radius"))
+    return Ellipse(center=center, semi_axes=_pair(spec["semi_axes"], f"{where}.semi_axes"),
+                   tilt=json_number(spec.get("tilt", 0.0), f"{where}.tilt"))
 
 
 def parse_scenario(doc: dict) -> AdmittanceField:
@@ -382,24 +385,27 @@ def parse_scenario(doc: dict) -> AdmittanceField:
             raise ConfigurationError(
                 "scenario.absorption_region: give exactly one of 'components' or 'shapes'"
             )
-        if "components" in spec:
-            try:
-                region = [geometry.components[int(i)] for i in spec["components"]]
-            except (IndexError, ValueError):
-                raise ConfigurationError(
-                    "scenario.absorption_region.components: bad component index"
-                ) from None
-        else:
-            region = [_shape_from_json(s, f"scenario.absorption_region.shapes[{j}]")
-                      for j, s in enumerate(spec["shapes"])]
+        key = "components" if "components" in spec else "shapes"
+        if not isinstance(spec[key], list):
+            raise ConfigurationError(f"scenario.absorption_region.{key}: expected a list")
+        region = []
+        for j, item in enumerate(spec[key]):
+            where = f"scenario.absorption_region.{key}[{j}]"
+            if key == "shapes":
+                region.append(_shape_from_json(item, where))
+                continue
+            i = json_number(item, where, integer=True)
+            if not 0 <= i < len(shapes):
+                raise ConfigurationError(f"{where}: no inclusion component {i}")
+            region.append(shapes[i])
     return AdmittanceField(geometry, perts, absorption_region=region)
 
 
 def load_scenario(path) -> AdmittanceField:
-    """Parse a scenario JSON file; errors cite the offending field."""
-    with open(path) as fh:
-        try:
+    """Parse a scenario JSON file; errors cite the file or the offending field."""
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"scenario {path}: invalid JSON ({exc})") from None
+    except (OSError, ValueError) as exc:  # missing, unreadable, not text or not JSON
+        raise ConfigurationError(f"scenario {path}: cannot read a JSON document ({exc})") from None
     return parse_scenario(doc)

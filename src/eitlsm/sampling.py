@@ -95,11 +95,6 @@ def make_relative_data(measured: NdMap, background: NdMap) -> RelativeData:
         raise ConfigurationError(
             f"truncation mismatch: measured N={measured.N}, background N={background.N}"
         )
-    if (measured.source_smoothness, measured.target_smoothness) != (
-        background.source_smoothness,
-        background.target_smoothness,
-    ):
-        raise ConfigurationError("smoothness tags of the two maps do not match")
     return RelativeData(measured.matrix - background.matrix, measured.N)
 
 
@@ -311,7 +306,7 @@ def grid_points(spacing: float, r_max: float) -> np.ndarray:
 
 
 def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rule: dict,
-                  directions: str = "max-xy", threads: int = 1,
+                  directions: str = "max-xy",
                   trace_computer: SingularTraceComputer | None = None) -> IndicatorMap:
     """Sweep the sampling grid: Morozov-regularized solve per point and direction.
 
@@ -331,9 +326,6 @@ def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rul
         The indicator is the maximum of ||psi||_{-1/2} over the listed dipole
         directions; alpha and feasibility follow the maximizing direction
         (the first one on ties).
-    threads : int
-        Accepted for compatibility; it has no effect, since the sweep is one
-        whole-array computation.
     """
     try:
         spacing = float(grid_spec["spacing"])

@@ -64,9 +64,47 @@ def test_scenario_path_resolution(tmp_path):
     assert len(cfg.scenario.geometry.components) == 1
 
 
-def test_missing_config_file_is_configuration_error(capsys):
-    assert main(["verify", "--config", "/nonexistent/config.json"]) == 2
-    assert "configuration error" in capsys.readouterr().err
+def test_missing_config_file_is_configuration_error(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x80\x81")  # not UTF-8 text
+    for path in ("/nonexistent/config.json", str(binary), str(tmp_path)):
+        assert main(["verify", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and path in err
+
+
+def _disk(**fields):
+    return {"scenario": {"inclusions": [dict(SWEEP_DOC["inclusions"][0], **fields)]}}
+
+
+def _ellipse(**fields):
+    inclusion = {"shape": "ellipse", "center": [0.2, 0.1], "semi_axes": [0.3, 0.2],
+                 "h": [[2.0, 0.0], [0.0, 2.0]]}
+    return {"scenario": {"inclusions": [dict(inclusion, **fields)]}}
+
+
+@pytest.mark.parametrize("doc,extra,field", [
+    ({"N": "abc"}, [], "config.N"),
+    ({"N": 2.7}, [], "config.N"),
+    ({"N": True}, [], "config.N"),
+    ({"h_target": [1]}, [], "config.h_target"),
+    ({"noise": {"seed": None}}, [], "config.noise.seed"),
+    ({"noise": {"level": 0.01, "seed": -1}}, [], "config.noise.seed"),
+    ({"grid": {"spacing": "x"}}, [], "config.grid.spacing"),
+    ({"threads": "two"}, [], "config.threads"),
+    ({"cutoff": {"c": "x"}}, [], "config.cutoff.c"),
+    ({}, ["--seed", "-1"], "--seed"),
+    (_disk(radius="big"), [], "inclusions[0].radius"),
+    (_ellipse(semi_axes=3), [], "inclusions[0].semi_axes"),
+    (_ellipse(tilt="steep"), [], "inclusions[0].tilt"),
+    ({"scenario": "missing.json"}, [], "missing.json"),
+])
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
+    cfg = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run"), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and field in err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,32 +7,15 @@ from eitlsm import (
     DipoleSpec,
     SingularTraceComputer,
     build_disk_mesh,
-    dipole_field,
     fourier_modes,
-    greens_function,
     layer_current_matrix,
     layer_current_multipliers,
-    single_layer_gradient,
-    single_layer_interior,
     singular_trace,
 )
 
 
 # ---------------------------------------------------------------------------
 # kernels
-
-
-def test_dipole_field_values():
-    spec = DipoleSpec(y=(0.0, 0.0), direction=(1.0, 0.0))
-    assert dipole_field((1.0, 0.0), spec) == pytest.approx(-1.0 / (2 * np.pi))
-    assert dipole_field((0.0, 0.7), spec) == pytest.approx(0.0, abs=1e-15)
-    assert dipole_field((-1.0, 0.0), spec) == pytest.approx(1.0 / (2 * np.pi))
-
-
-def test_dipole_field_singularity():
-    spec = DipoleSpec(y=(0.2, 0.1), direction=(0.0, 1.0))
-    with pytest.raises(ConfigurationError):
-        dipole_field((0.2, 0.1), spec)
 
 
 def test_dipole_spec_validation():
@@ -42,16 +25,6 @@ def test_dipole_spec_validation():
         DipoleSpec(y=(1.0, 0.0), direction=(1.0, 0.0))
     with pytest.raises(ConfigurationError):
         DipoleSpec(y=(0.0, 0.0), direction=(0.0, 0.0))
-
-
-def test_greens_function_values():
-    assert greens_function((1.0, 0.0), (0.0, 0.0)) == pytest.approx(0.0, abs=1e-15)
-    r = np.exp(-2 * np.pi)
-    assert greens_function((r, 0.0), (0.0, 0.0)) == pytest.approx(1.0)
-    a, b = (0.3, -0.2), (-0.1, 0.5)
-    assert greens_function(a, b) == greens_function(b, a)
-    with pytest.raises(ConfigurationError):
-        greens_function(a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +114,6 @@ def test_single_layer_constant_density_constant_inside():
     aux = AuxCircle(radius=2.0, count=128)
     current = layer_current_matrix(aux, N=8) @ np.ones(aux.count)
     assert np.abs(current).max() <= 1e-12
-    # interior potential of the constant density is the constant R log(1/R)
-    pts = np.array([[0.0, 0.0], [0.3, -0.2], [0.7, 0.5]])
-    vals = single_layer_interior(aux, pts) @ np.ones(aux.count)
-    expected = 2.0 * np.log(0.5)
-    assert np.abs(vals - expected).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
@@ -166,16 +134,6 @@ def test_layer_quadrature_matches_closed_form():
     assert np.abs(quad - closed).max() <= 1e-8
 
 
-@pytest.mark.parametrize("k,r", [(1, 0.4), (3, 0.7), (6, 0.2)])
-def test_single_layer_interior_mode(k, r):
-    aux = AuxCircle(radius=2.0, count=128)
-    theta_x = np.linspace(0.1, 2 * np.pi, 7, endpoint=False)
-    pts = r * np.column_stack([np.cos(theta_x), np.sin(theta_x)])
-    vals = single_layer_interior(aux, pts) @ np.exp(1j * k * aux.angles)
-    expected = (aux.radius / (2 * k)) * (r / aux.radius) ** k * np.exp(1j * k * theta_x)
-    assert np.abs(vals - expected).max() <= 1e-12
-
-
 def test_range_of_layer_current_dense():
     # random band-limited zero-mean target, fitted in the H^{-1/2} norm
     rng = np.random.default_rng(5)
@@ -194,30 +152,3 @@ def test_range_of_layer_current_dense():
     assert residuals[0] <= 1e-3
     for a, b in zip(residuals, residuals[1:]):
         assert b <= a + 1e-12  # non-increasing up to roundoff
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_harmonic_approximation_in_small_disk(m):
-    # Re((x1 + i x2)^m) restricted to the disk of radius 0.3 is matched in
-    # values and gradients by an interior single-layer potential
-    aux = AuxCircle(radius=2.0, count=64)
-    rng = np.random.default_rng(9)
-    pts = rng.uniform(-0.3, 0.3, size=(120, 2))
-    pts = pts[np.linalg.norm(pts, axis=1) < 0.3][:60]
-    z = pts[:, 0] + 1j * pts[:, 1]
-    vals = np.real(z**m)
-    gx = np.real(m * z ** (m - 1))
-    gy = np.real(1j * m * z ** (m - 1))
-    smat = single_layer_interior(aux, pts)
-    dxmat, dymat = single_layer_gradient(aux, pts)
-    design = np.vstack([smat, dxmat, dymat])
-    target = np.concatenate([vals, gx, gy])
-    sol, *_ = np.linalg.lstsq(design, target.astype(complex), rcond=None)
-    rel = np.linalg.norm(design @ sol - target) / np.linalg.norm(target)
-    assert rel <= 1e-3
-
-
-def test_single_layer_target_on_circle_rejected():
-    aux = AuxCircle(radius=2.0, count=16)
-    with pytest.raises(ConfigurationError):
-        single_layer_interior(aux, aux.nodes[:1])

@@ -9,9 +9,7 @@ from eitlsm import (
     build_disk_mesh,
     fourier_modes,
     fourier_to_trace,
-    load_mesh,
     max_edge_length,
-    save_mesh,
     trace_to_fourier,
     triangle_areas,
 )
@@ -140,21 +138,3 @@ def test_real_valued_flag():
     assert BoundaryField(coeffs, N, 0.0).is_real_valued()
     coeffs[modes == -2] = 1.0 - 0.5j
     assert not BoundaryField(coeffs, N, 0.0).is_real_valued()
-
-
-def test_mesh_file_round_trip(tmp_path):
-    mesh = build_disk_mesh(0.22)
-    path = tmp_path / "disk.mesh"
-    save_mesh(mesh, path)
-    back = load_mesh(path)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.boundary, mesh.boundary)
-    assert back.h_target == mesh.h_target
-
-
-def test_load_mesh_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.mesh"
-    path.write_text("nonsense header line\n")
-    with pytest.raises(ConfigurationError):
-        load_mesh(path)

@@ -327,16 +327,6 @@ def test_indicator_dichotomy_small(small_sweep):
     assert med_out >= 5.0 * med_in
 
 
-def test_indicator_thread_count_invariance(small_sweep, mesh05):
-    data, computer, imap = small_sweep
-    threaded = indicator_map(
-        data, mesh05, {"spacing": 0.15, "r_max": 0.75}, {"epsilon": 0.01},
-        threads=4, trace_computer=computer,
-    )
-    assert np.array_equal(threaded.indicator, imap.indicator)
-    assert np.array_equal(threaded.alpha, imap.alpha)
-
-
 def test_estimate_support_constant_field(small_sweep):
     _, _, imap = small_sweep
     import dataclasses

@@ -7,10 +7,17 @@ Morozov-regularized solutions of the sampling equation over a grid.
 
 __version__ = "0.1.0"
 
+import os as _os
+
+# the dense work is 2N x 2N: a BLAS thread per core only competes for the cores
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
+
 from .dipole import (
     AuxCircle,
     DipoleSpec,
     SingularTraceComputer,
+    disk_dipole_traces,
     layer_current_matrix,
     layer_current_multipliers,
     singular_trace,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .dipole import AuxCircle, DipoleSpec, layer_current_matrix, layer_current_multipliers, singular_trace
+from .dipole import (AuxCircle, DipoleSpec, disk_dipole_traces, layer_current_matrix,
+                     layer_current_multipliers, singular_trace)
 from .errors import ConfigurationError, EstimationError, ToolkitError
 from .forward import (
     NdMap,
@@ -37,6 +38,8 @@ from .media import check_absorption, json_number, load_scenario, parse_scenario
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
     RelativeData,
+    check_cutoff,
+    check_sweep_settings,
     estimate_support,
     indicator_map,
     make_relative_data,
@@ -134,10 +137,12 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     threads = json_number(top["threads"], "config.threads", integer=True)
     if threads < 1:
         raise ConfigurationError(f"config.threads: must be >= 1, got {threads}")
-    if cutoff["rule"] not in ("multiplier", "quantile"):
-        raise ConfigurationError(
-            f"config.cutoff.rule: expected 'multiplier' or 'quantile', got {cutoff['rule']!r}"
-        )
+    grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
+    directions = str(top["directions"])
+    check_sweep_settings(grid["spacing"], grid["r_max"], directions, where="config.")
+    cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
+              "q": json_number(cutoff["q"], "config.cutoff.q")}
+    check_cutoff(**cutoff, where="config.")
 
     return RunConfig(
         scenario=scenario_field,
@@ -145,11 +150,10 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
         N=n_order,
         noise_level=level,
         noise_seed=seed,
-        grid={key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")},
+        grid=grid,
         epsilon=epsilon,
-        cutoff={"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
-                "q": json_number(cutoff["q"], "config.cutoff.q")},
-        directions=str(top["directions"]),
+        cutoff=cutoff,
+        directions=directions,
         measured_path=str(top["measured_path"]),
         background_path=str(top["background_path"]),
         raw=doc,
@@ -237,14 +241,18 @@ def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
 
 
 def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
-    """Full sweep from ND-map files to indicator, mask and image outputs."""
+    """Full sweep from the two ND-map files to indicator, mask and image outputs."""
     os.makedirs(out_dir, exist_ok=True)
     _check_simulated_with(cfg, out_dir)
-    measured = load_nd_map(os.path.join(out_dir, cfg.measured_path))
-    background = load_nd_map(os.path.join(out_dir, cfg.background_path))
-    data = make_relative_data(measured, background)
-    mesh = build_disk_mesh(cfg.h_target)
-    imap = indicator_map(data, mesh, cfg.grid, {"epsilon": cfg.epsilon},
+    measured_path = os.path.join(out_dir, cfg.measured_path)
+    background_path = os.path.join(out_dir, cfg.background_path)
+    measured, background = load_nd_map(measured_path), load_nd_map(background_path)
+    try:
+        data = make_relative_data(measured, background)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{measured_path} and {background_path}: {exc}") from None
+    # no mesh: the sweep takes the closed-form disk dipole traces
+    imap = indicator_map(data, None, cfg.grid, {"epsilon": cfg.epsilon},
                          directions=cfg.directions)
     if not imap.feasible.any():
         # keep the evidence without clobbering any earlier successful output
@@ -302,9 +310,7 @@ def _verify_checks(cfg: RunConfig):
     yield "two-phase-spectrum", err2, 0.02
 
     phi = singular_trace(mesh, DipoleSpec(y=(0.0, 0.0), direction=(1.0, 0.0)), n_order)
-    target = np.zeros(2 * n_order, dtype=complex)
-    target[modes == 1] = -1.0 / (2.0 * np.pi)
-    target[modes == -1] = -1.0 / (2.0 * np.pi)
+    target = disk_dipole_traces((0.0, 0.0), (1.0, 0.0), n_order)[0]  # -1/(2pi) at n = +-1
     err3 = float(np.abs(phi.coeffs - target).max() * 2.0 * np.pi)
     yield "centered-dipole-trace", err3, 0.01
 

@@ -6,6 +6,11 @@ Neumann correction yields the singular solution whose boundary trace drives
 the sampling equation. The additive constant of the singular solution is
 absorbed by working in zero-mean Fourier coordinates throughout.
 
+On the unit disk that trace has a closed form, ``disk_dipole_traces``,
+which is what the sweep uses. ``SingularTraceComputer`` computes the same
+traces through the background FEM system of a mesh; it is the reference
+that the oracle checks and the tests compare against.
+
 Layer densities live on an auxiliary circle of radius R > 1 enclosing the
 body. The boundary normal derivative of their single layer (logarithmic
 kernel, periodic trapezoid rule, geometrically convergent since the kernel
@@ -29,6 +34,7 @@ __all__ = [
     "DipoleSpec",
     "AuxCircle",
     "SingularTraceComputer",
+    "disk_dipole_traces",
     "singular_trace",
     "layer_current_matrix",
     "layer_current_multipliers",
@@ -163,6 +169,26 @@ class SingularTraceComputer:
     def trace(self, spec: DipoleSpec) -> BoundaryField:
         coeffs = self.trace_batch([spec.y], [spec.direction])[0]
         return BoundaryField(coeffs=coeffs, N=self.N, smoothness=0.5)
+
+
+def disk_dipole_traces(ys, dirs, N: int) -> np.ndarray:
+    """Exact Fourier coefficients of phi_y on the unit disk; shape (B, 2N).
+
+    With the unit direction a = a1 + i a2 and y = y1 + i y2, the trace that
+    ``SingularTraceComputer.trace_batch`` approximates on a mesh is
+    c_n = -(1/2pi) conj(a) conj(y)^(n-1) for n > 0 and
+    c_n = -(1/2pi) a y^(|n|-1) for n < 0. Locations with |y| >= 1 are refused.
+    """
+    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
+    if not (np.hypot(ys[:, 0], ys[:, 1]) < 1.0).all():
+        raise ConfigurationError("a dipole location is not strictly inside the unit disk")
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    y = (ys[:, 0] + 1j * ys[:, 1])[:, None]
+    a = (dirs[:, 0] + 1j * dirs[:, 1])[:, None]
+    modes = fourier_modes(N)
+    k = np.abs(modes) - 1
+    return np.where(modes > 0, np.conj(a) * np.conj(y) ** k, a * y**k) / (-2.0 * np.pi)
 
 
 def singular_trace(mesh: DiskMesh, spec: DipoleSpec, N: int) -> BoundaryField:

@@ -212,21 +212,12 @@ def evaluate_admittance(fld: AdmittanceField, x) -> np.ndarray:
     return fld.evaluate_batch(x[None, :])[0]
 
 
-def _hermitian_eigmin(mats: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of 2x2 Hermitian matrices, closed form."""
+def _hermitian_eig(mats: np.ndarray, sign: float) -> np.ndarray:
+    """Largest (sign +1) or smallest (sign -1) eigenvalue of 2x2 Hermitian matrices."""
     a = mats[..., 0, 0].real
     d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    disc = np.sqrt(((a - d) / 2) ** 2 + np.abs(b) ** 2)
-    return (a + d) / 2 - disc
-
-
-def _hermitian_eigmax(mats: np.ndarray) -> np.ndarray:
-    a = mats[..., 0, 0].real
-    d = mats[..., 1, 1].real
-    b = mats[..., 0, 1]
-    disc = np.sqrt(((a - d) / 2) ** 2 + np.abs(b) ** 2)
-    return (a + d) / 2 + disc
+    disc = np.sqrt(((a - d) / 2) ** 2 + np.abs(mats[..., 0, 1]) ** 2)
+    return (a + d) / 2 + sign * disc
 
 
 def check_coercivity(fld: AdmittanceField, sample_points, z_grid_size: int = 64) -> dict:
@@ -250,7 +241,7 @@ def check_coercivity(fld: AdmittanceField, sample_points, z_grid_size: int = 64)
     for z in zs:
         zg = z * gam
         herm = 0.5 * (zg + np.conj(np.swapaxes(zg, -1, -2)))
-        alpha = min(float(_hermitian_eigmin(herm).min()), float(z.real))
+        alpha = min(float(_hermitian_eig(herm, -1.0).min()), float(z.real))
         if alpha > best["alpha"]:
             best = {"holds": alpha > 0.0, "alpha": alpha, "z": complex(z)}
     return best
@@ -269,7 +260,7 @@ def check_absorption(fld: AdmittanceField) -> dict:
         return {"holds": False, "beta": 0.0, "reason": "absorption region is empty"}
     gam = fld.evaluate_batch(sample_points)
     h_im = np.imag(gam - _IDENTITY)
-    beta = -float(_hermitian_eigmax(h_im).max())
+    beta = -float(_hermitian_eig(h_im, 1.0).max())
     return {"holds": beta > 0.0, "beta": beta}
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import AuxCircle, SingularTraceComputer, layer_current_matrix, layer_current_multipliers
+from .dipole import (AuxCircle, SingularTraceComputer, disk_dipole_traces, layer_current_matrix,
+                     layer_current_multipliers)
 from .errors import ConfigurationError, EstimationError
 from .forward import NdMap
 from .geometry import BoundaryField, DiskMesh, fourier_modes
@@ -42,6 +43,8 @@ __all__ = [
     "tikhonov_solve",
     "morozov_alpha",
     "grid_points",
+    "check_sweep_settings",
+    "check_cutoff",
     "indicator_map",
     "estimate_support",
     "support_cutoff",
@@ -69,6 +72,7 @@ class RelativeData:
     shared read-only by all solves. Immutable after construction.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below
     def __init__(self, difference: np.ndarray, N: int):
         difference = np.asarray(difference, dtype=complex)
         if difference.shape != (2 * N, 2 * N):
@@ -80,6 +84,9 @@ class RelativeData:
         self.matrix = difference
         self.weights = np.abs(self.modes).astype(float) ** 0.5
         self.weighted = self.weights[:, None] * difference * self.weights[None, :]
+        if not np.isfinite(self.weighted).all():  # LAPACK's SVD may never return on them
+            raise ConfigurationError("the weighted difference of the ND maps is not finite; "
+                                     "their entries are too large")
         u, s, vh = np.linalg.svd(self.weighted)
         self.U, self.singular_values, self.Vh = u, s, vh
 
@@ -89,6 +96,7 @@ class RelativeData:
         return self.weights * rhs.coeffs
 
 
+@np.errstate(over="ignore")  # RelativeData refuses an overflowed difference
 def make_relative_data(measured: NdMap, background: NdMap) -> RelativeData:
     """Assemble Lambda - Lambda0 and its weighted singular system."""
     if measured.N != background.N:
@@ -268,6 +276,32 @@ _DIRECTION_SETS = {
     "y": ((0.0, 1.0),),
 }
 
+R_MAX = 0.9  # sampling points keep this clear of the boundary, where FEM traces lose accuracy
+
+
+def check_sweep_settings(spacing: float, r_max: float, directions: str, where: str = "") -> None:
+    """Refuse a grid or direction strategy that ``indicator_map`` cannot use; messages
+    name the setting as the run configuration does (``grid.r_max``) after ``where``."""
+    if spacing <= 0.0:
+        raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
+    if r_max > R_MAX:
+        raise ConfigurationError(
+            f"{where}grid.r_max: must be <= {R_MAX} (trace accuracy margin), got {r_max}")
+    if directions not in _DIRECTION_SETS:
+        raise ConfigurationError(f"{where}directions: unknown strategy {directions!r}; "
+                                 f"choose from {sorted(_DIRECTION_SETS)}")
+
+
+def check_cutoff(rule: str, c: float, q: float, where: str = "") -> None:
+    """Refuse a cut-off that ``support_cutoff`` cannot apply (names as above)."""
+    if rule not in ("multiplier", "quantile"):
+        raise ConfigurationError(
+            f"{where}cutoff.rule: expected 'multiplier' or 'quantile', got {rule!r}")
+    if rule == "multiplier" and c < 1.0:
+        raise ConfigurationError(f"{where}cutoff.c: multiplier must be >= 1, got {c}")
+    if rule == "quantile" and not (0.0 < q < 1.0):
+        raise ConfigurationError(f"{where}cutoff.q: quantile must lie in (0, 1), got {q}")
+
 
 @dataclass(eq=False)
 class IndicatorMap:
@@ -296,16 +330,12 @@ def grid_points(spacing: float, r_max: float) -> np.ndarray:
     if spacing <= 0.0:
         raise ConfigurationError(f"grid spacing must be positive, got {spacing}")
     k = int(math.floor(r_max / spacing + 1e-9))
-    pts = []
-    for i in range(-k, k + 1):
-        for j in range(-k, k + 1):
-            x, y = i * spacing, j * spacing
-            if math.hypot(x, y) <= r_max + 1e-12:
-                pts.append((x, y))
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
+    i, j = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1), indexing="ij")
+    pts = np.column_stack([i.ravel() * spacing, j.ravel() * spacing])
+    return pts[np.hypot(pts[:, 0], pts[:, 1]) <= r_max + 1e-12]
 
 
-def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rule: dict,
+def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, delta_rule: dict,
                   directions: str = "max-xy",
                   trace_computer: SingularTraceComputer | None = None) -> IndicatorMap:
     """Sweep the sampling grid: Morozov-regularized solve per point and direction.
@@ -318,8 +348,10 @@ def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rul
     Parameters
     ----------
     data : RelativeData
-    mesh : DiskMesh
-        Carries the background system for the dipole traces.
+    mesh : DiskMesh | None
+        None (what ``reconstruct`` passes) takes the closed-form disk traces
+        of ``disk_dipole_traces``; a mesh takes the FEM reference traces of
+        ``SingularTraceComputer`` on it. A given ``trace_computer`` wins.
     grid_spec : dict with keys ``spacing`` and ``r_max`` (r_max <= 0.9)
     delta_rule : dict with key ``epsilon``; per point delta = epsilon * ||phi_y||_{1/2}
     directions : "max-xy" (default), "x" or "y"
@@ -336,24 +368,21 @@ def indicator_map(data: RelativeData, mesh: DiskMesh, grid_spec: dict, delta_rul
         epsilon = float(delta_rule["epsilon"])
     except KeyError:
         raise ConfigurationError("delta_rule is missing key 'epsilon'") from None
-    if r_max > 0.9:
-        raise ConfigurationError(f"r_max must be <= 0.9 (trace accuracy margin), got {r_max}")
+    check_sweep_settings(spacing, r_max, directions)
     if epsilon <= 0.0:
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    if directions not in _DIRECTION_SETS:
-        raise ConfigurationError(
-            f"unknown direction strategy {directions!r}; choose from {sorted(_DIRECTION_SETS)}"
-        )
     dirs = _DIRECTION_SETS[directions]
     pts = grid_points(spacing, r_max)
     n_pts = len(pts)
     phit = np.zeros((0, 2 * data.N), dtype=complex)
     if n_pts:
-        if trace_computer is None:
-            trace_computer = SingularTraceComputer(mesh, data.N)
         ys = np.repeat(pts, len(dirs), axis=0)
         ds = np.tile(np.asarray(dirs, dtype=float), (n_pts, 1))
-        phit = trace_computer.trace_batch(ys, ds) * data.weights  # (P * ndir, 2N)
+        if trace_computer is None and mesh is None:
+            traces = disk_dipole_traces(ys, ds, data.N)
+        else:
+            traces = (trace_computer or SingularTraceComputer(mesh, data.N)).trace_batch(ys, ds)
+        phit = traces * data.weights  # (P * ndir, 2N)
     delta = epsilon * np.linalg.norm(phit, axis=1)
     rows = _morozov_rows(data, phit, delta)
 
@@ -379,19 +408,14 @@ def support_cutoff(imap: IndicatorMap, rule: str = "multiplier",
                    c: float = DEFAULT_CUTOFF_MULTIPLIER, q: float = 0.1,
                    use_alpha: bool = False) -> float:
     """Threshold of ``estimate_support``: inside is I(y) <= it (alpha(y) >= it)."""
+    check_cutoff(rule, c, q)
     feasible = imap.feasible
     if len(imap) == 0 or not feasible.any():
         raise EstimationError("no feasible sweep point; cannot estimate the support")
     values = (imap.alpha if use_alpha else imap.indicator)[feasible]
     if rule == "multiplier":
-        if c < 1.0:
-            raise ConfigurationError(f"cut-off multiplier must be >= 1, got {c}")
         return float(values.max() / c if use_alpha else c * values.min())
-    if rule == "quantile":
-        if not (0.0 < q < 1.0):
-            raise ConfigurationError(f"quantile must lie in (0, 1), got {q}")
-        return float(np.quantile(values, 1.0 - q if use_alpha else q))
-    raise ConfigurationError(f"unknown cut-off rule {rule!r}")
+    return float(np.quantile(values, 1.0 - q if use_alpha else q))
 
 
 def estimate_support(imap: IndicatorMap, rule: str = "multiplier",
@@ -475,32 +499,25 @@ def reconstruct_via_density(data: RelativeData, aux: AuxCircle, rhs: BoundaryFie
 # Output files
 
 
-def write_indicator_csv(imap: IndicatorMap, path) -> None:
-    """CSV with header x,y,indicator,alpha,feasible (17 significant digits)."""
+def _write_csv(path, points: np.ndarray, columns: dict) -> None:
+    """CSV of x, y and the named per-point columns: floats at 17 significant
+    digits, booleans as 0/1."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", "y", "indicator", "alpha", "feasible"])
-        for k in range(len(imap)):
-            writer.writerow([
-                f"{imap.points[k, 0]:.17g}",
-                f"{imap.points[k, 1]:.17g}",
-                f"{imap.indicator[k]:.17g}",
-                f"{imap.alpha[k]:.17g}",
-                int(imap.feasible[k]),
-            ])
+        writer.writerow(["x", "y", *columns])
+        for row in zip(points[:, 0], points[:, 1], *columns.values()):
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else int(v) for v in row])
+
+
+def write_indicator_csv(imap: IndicatorMap, path) -> None:
+    """CSV with header x,y,indicator,alpha,feasible (17 significant digits)."""
+    _write_csv(path, imap.points, {"indicator": imap.indicator, "alpha": imap.alpha,
+                                   "feasible": imap.feasible})
 
 
 def write_mask_csv(imap: IndicatorMap, mask: np.ndarray, path) -> None:
     """CSV with header x,y,inside."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "inside"])
-        for k in range(len(imap)):
-            writer.writerow([
-                f"{imap.points[k, 0]:.17g}",
-                f"{imap.points[k, 1]:.17g}",
-                int(mask[k]),
-            ])
+    _write_csv(path, imap.points, {"inside": mask})
 
 
 def write_indicator_pgm(imap: IndicatorMap, path) -> None:
@@ -514,17 +531,12 @@ def write_indicator_pgm(imap: IndicatorMap, path) -> None:
     k = int(math.floor(r_max / spacing + 1e-9))
     size = 2 * k + 1
     img = np.zeros((size, size), dtype=int)
-    vals = imap.indicator[imap.feasible & (imap.indicator > 0)]
-    if len(vals) > 0:
-        lo, hi = math.log10(vals.min()), math.log10(vals.max())
-        span = hi - lo if hi > lo else 1.0
-        for p, ind, feas in zip(imap.points, imap.indicator, imap.feasible):
-            if not feas or ind <= 0:
-                continue
-            col = int(round(p[0] / spacing)) + k
-            row = k - int(round(p[1] / spacing))
-            level = (math.log10(ind) - lo) / span
-            img[row, col] = 1 + int(round(level * 254))
+    shown = imap.feasible & (imap.indicator > 0)
+    if shown.any():
+        logs = np.log10(imap.indicator[shown])
+        lo, hi = logs.min(), logs.max()
+        col, row = np.rint(imap.points[shown] / spacing).astype(int).T
+        img[k - row, col + k] = 1 + np.rint((logs - lo) / (hi - lo if hi > lo else 1.0) * 254)
     with open(path, "w") as fh:
         fh.write(f"P2\n{size} {size}\n255\n")
         for row in img:

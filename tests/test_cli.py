@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from eitlsm import ConfigurationError, load_nd_map
+import eitlsm
+from eitlsm import ConfigurationError, cli, dipole, forward, load_nd_map
 from eitlsm.cli import load_run_config, main, parse_run_config
 from conftest import SWEEP_DOC
 
@@ -98,6 +102,11 @@ def _ellipse(**fields):
     (_ellipse(semi_axes=3), [], "inclusions[0].semi_axes"),
     (_ellipse(tilt="steep"), [], "inclusions[0].tilt"),
     ({"scenario": "missing.json"}, [], "missing.json"),
+    ({"directions": "z"}, [], "config.directions"),
+    ({"grid": {"r_max": 0.95}}, [], "config.grid.r_max"),
+    ({"grid": {"spacing": 0}}, [], "config.grid.spacing"),
+    ({"cutoff": {"c": 0.5}}, [], "config.cutoff.c"),
+    ({"cutoff": {"rule": "quantile", "q": 1.5}}, [], "config.cutoff.q"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)
@@ -225,6 +234,55 @@ def test_reconstruct_refuses_mixed_runs(small_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{field} is" in err
     assert not (run / "indicator.csv").exists()
+
+
+def copy_nd_files(src, dst):
+    dst.mkdir()
+    for n in ("measured.nd", "background.nd"):
+        (dst / n).write_bytes((src / n).read_bytes())
+
+
+def test_reconstruct_needs_no_mesh(small_run, tmp_path, monkeypatch):
+    _, cfg, out = small_run
+    run = tmp_path / "nomesh"
+    copy_nd_files(out, run)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reconstruct built a mesh or an FEM system")
+
+    for module, name in ((cli, "build_disk_mesh"), (cli, "assemble_system"),
+                         (dipole, "assemble_system")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(forward.FemSystem, "__init__", refuse)
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+    assert (run / "mask.csv").read_bytes() == (out / "mask.csv").read_bytes()
+
+
+def test_reconstruct_refuses_overflowing_nd_entry(small_run, tmp_path, capsys):
+    # finite in the file, but the |n|^(1/2) weighting overflows it; LAPACK's
+    # SVD used to spin forever on the result
+    _, cfg, out = small_run
+    run = tmp_path / "huge"
+    copy_nd_files(out, run)
+    lines = (run / "measured.nd").read_text().splitlines()
+    lines[1] = " ".join(["1e308"] + lines[1].split()[1:])
+    (run / "measured.nd").write_text("\n".join(lines) + "\n")
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert str(run / "measured.nd") in err and str(run / "background.nd") in err
+    assert not list(run.glob("indicator*.csv"))
+
+
+def test_blas_threads_default_to_one():
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = f"import os, eitlsm; print(*(os.environ[v] for v in {blas!r}))"
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(eitlsm.__file__))
+    for preset, expected in (({}, "1 1 1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2 1 1")):
+        proc = subprocess.run([sys.executable, "-c", code], env={**env, **preset},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == expected
 
 
 def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):

@@ -7,6 +7,7 @@ from eitlsm import (
     DipoleSpec,
     SingularTraceComputer,
     build_disk_mesh,
+    disk_dipole_traces,
     fourier_modes,
     layer_current_matrix,
     layer_current_multipliers,
@@ -84,12 +85,23 @@ def test_off_centre_traces_match_closed_form():
     ys = np.repeat(pts, 2, axis=0)
     dirs = np.tile(np.eye(2), (len(pts), 1))
     exact = closed_form_traces(ys, dirs, 8)
+    library = disk_dipole_traces(ys, dirs, 8)
+    assert np.abs(library - exact).max() <= 1e-14 * np.abs(exact).max()
     errs = []
     for h in (0.05, 0.03):
         traces = SingularTraceComputer(build_disk_mesh(h), N=8).trace_batch(ys, dirs)
-        errs.append((np.abs(traces - exact).max(axis=1) / np.abs(exact).max(axis=1)).max())
-    assert errs[0] <= 5e-4
-    assert errs[1] < errs[0]
+        errs.append([(np.abs(traces - ref).max(axis=1) / np.abs(ref).max(axis=1)).max()
+                     for ref in (exact, library)])
+    errs = np.array(errs)
+    assert (errs[0] <= 5e-4).all()
+    assert (errs[1] < errs[0]).all()
+
+
+def test_disk_dipole_traces_refuse_non_interior():
+    for y in ((1.0, 0.0), (0.0, -1.0), (0.8, 0.7), (np.nan, 0.0)):
+        with pytest.raises(ConfigurationError, match="unit disk"):
+            disk_dipole_traces([(0.0, 0.0), y], [(1.0, 0.0), (0.0, 1.0)], 4)
+    assert disk_dipole_traces((0.99, 0.0), (1.0, 0.0), 4).shape == (1, 8)
 
 
 def test_dipole_too_close_to_boundary():

@@ -307,6 +307,14 @@ def small_sweep(mesh05, concentric_nd05, background_nd05):
     return data, computer, imap
 
 
+def test_closed_form_sweep_matches_fem_sweep(small_sweep):
+    data, _, fem = small_sweep
+    closed = indicator_map(data, None, {"spacing": 0.15, "r_max": 0.75}, {"epsilon": 0.01})
+    assert np.array_equal(closed.points, fem.points)
+    assert np.array_equal(closed.flag, fem.flag)
+    assert np.array_equal(estimate_support(closed), estimate_support(fem))
+
+
 def test_indicator_finite_positive_at_feasible_points(small_sweep):
     _, _, imap = small_sweep
     assert imap.feasible.all()

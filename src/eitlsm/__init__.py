@@ -41,10 +41,7 @@ from .geometry import (
     build_disk_mesh,
     fourier_modes,
     fourier_projector,
-    fourier_to_trace,
-    max_edge_length,
     trace_to_fourier,
-    triangle_areas,
 )
 from .media import (
     AdmittanceField,
@@ -53,7 +50,6 @@ from .media import (
     InclusionGeometry,
     check_absorption,
     check_coercivity,
-    evaluate_admittance,
     load_scenario,
     parse_scenario,
 )

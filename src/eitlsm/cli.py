@@ -25,7 +25,6 @@ from .dipole import (AuxCircle, DipoleSpec, disk_dipole_traces, layer_current_ma
                      layer_current_multipliers, singular_trace)
 from .errors import ConfigurationError, EstimationError, ToolkitError
 from .forward import (
-    NdMap,
     add_noise,
     assemble_system,
     compute_background_nd_map,
@@ -138,6 +137,8 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     if threads < 1:
         raise ConfigurationError(f"config.threads: must be >= 1, got {threads}")
     grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
+    if grid["r_max"] < 0.0:  # the library accepts an empty grid; a run on it finds no point
+        raise ConfigurationError(f"config.grid.r_max: must be >= 0, got {grid['r_max']}")
     directions = str(top["directions"])
     check_sweep_settings(grid["spacing"], grid["r_max"], directions, where="config.")
     cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),

@@ -206,17 +206,17 @@ def singular_trace(mesh: DiskMesh, spec: DipoleSpec, N: int) -> BoundaryField:
 # Layer potentials on the auxiliary circle
 
 
-def layer_current_matrix(aux: AuxCircle, N: int, n_theta: int | None = None) -> np.ndarray:
+def layer_current_matrix(aux: AuxCircle, N: int) -> np.ndarray:
     """Quadrature form of the boundary-current operator: density samples to
     zero-mean Fourier coefficients of the normal derivative on the unit circle.
 
-    The kernel nu . grad_x G(x, z) is evaluated on a uniform boundary grid
-    and projected by the trapezoid rule; the n = 0 row is structurally
-    absent, consistent with the layer current having zero mean.
+    The kernel nu . grad_x G(x, z) is evaluated on a uniform grid of
+    max(4N + 4, 256) boundary points and projected by the trapezoid rule;
+    the n = 0 row is structurally absent, consistent with the layer current
+    having zero mean.
     """
     aux.require_order(N)
-    if n_theta is None:
-        n_theta = max(4 * N + 4, 256)
+    n_theta = max(4 * N + 4, 256)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     xb = np.column_stack([np.cos(theta), np.sin(theta)])
     nodes = aux.nodes

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
-from .geometry import BoundaryField, DiskMesh, fourier_modes, fourier_projector
+from .geometry import DiskMesh, fourier_modes, fourier_projector
 from .media import AdmittanceField, InclusionGeometry, check_coercivity
 
 __all__ = [
@@ -65,11 +65,6 @@ class NdMap:
     @property
     def modes(self) -> np.ndarray:
         return fourier_modes(self.N)
-
-    def apply(self, fld: BoundaryField) -> BoundaryField:
-        if fld.N != self.N:
-            raise ConfigurationError(f"field order {fld.N} does not match map order {self.N}")
-        return BoundaryField(self.matrix @ fld.coeffs, self.N, smoothness=0.5)
 
     def symmetry_defect(self) -> float:
         """Relative reciprocity defect ||M - M_sym|| / ||M|| (Frobenius)."""
@@ -135,16 +130,16 @@ class FemSystem:
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     """Assemble the P1 stiffness matrix with gamma frozen at centroids.
 
-    The coercivity assumption is checked on the triangle centroids first;
-    assembly is refused when it fails, since the constrained system is then
-    not guaranteed solvable (no Lax-Milgram bound).
+    The coercivity assumption is checked on the admittance's values first,
+    so an inclusion that no centroid samples is judged too; assembly is
+    refused when it fails, since the constrained system is then not
+    guaranteed solvable (no Lax-Milgram bound).
     """
     verts, tris = mesh.vertices, mesh.triangles
-    centroids = verts[tris].mean(axis=1)
-    verdict = check_coercivity(admittance, centroids)
+    verdict = check_coercivity(admittance)
     if not verdict["holds"]:
         raise SolverError(
-            "admittance fails the coercivity assumption on this mesh "
+            "admittance fails the coercivity assumption "
             f"(best alpha={verdict['alpha']:.3g} at z={verdict['z']:.3g}); "
             "the Lax-Milgram hypothesis is unavailable"
         )
@@ -155,7 +150,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     area = 0.5 * det
     gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / det[:, None]
     gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / det[:, None]
-    gam = admittance.evaluate_batch(centroids)
+    gam = admittance.evaluate_batch(p.mean(axis=1))
     gax = gam[:, 0, 0][:, None] * gx + gam[:, 0, 1][:, None] * gy
     gay = gam[:, 1, 0][:, None] * gx + gam[:, 1, 1][:, None] * gy
     kloc = area[:, None, None] * (

@@ -28,9 +28,6 @@ __all__ = [
     "build_disk_mesh",
     "fourier_projector",
     "trace_to_fourier",
-    "fourier_to_trace",
-    "triangle_areas",
-    "max_edge_length",
 ]
 
 
@@ -77,12 +74,6 @@ class BoundaryField:
             s = self.smoothness
         w = np.abs(self.modes).astype(float) ** s
         return float(np.linalg.norm(w * self.coeffs))
-
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """True when f_{-n} = conj(f_n) for all modes, i.e. the field is real."""
-        defect = self.coeffs[::-1] - np.conj(self.coeffs)
-        scale = max(float(np.abs(self.coeffs).max()), 1e-300)
-        return float(np.abs(defect).max()) <= tol * scale
 
 
 @dataclass(eq=False)
@@ -137,17 +128,6 @@ def _signed_areas(vertices, triangles):
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-
-def triangle_areas(mesh: DiskMesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for a valid mesh)."""
-    return _signed_areas(mesh.vertices, mesh.triangles)
-
-
-def max_edge_length(mesh: DiskMesh) -> float:
-    p = mesh.vertices[mesh.triangles]
-    edges = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-    return float(np.linalg.norm(edges, axis=1).max())
 
 
 def build_disk_mesh(h_target: float) -> DiskMesh:
@@ -243,16 +223,3 @@ def trace_to_fourier(mesh: DiskMesh, nodal, N: int, smoothness: float) -> Bounda
             f"nodal data has shape {nodal.shape}, expected ({nb},) for this mesh"
         )
     return BoundaryField(coeffs=fourier_projector(mesh, N) @ nodal, N=N, smoothness=smoothness)
-
-
-def fourier_to_trace(field: BoundaryField, mesh: DiskMesh) -> np.ndarray:
-    """Synthesize f(theta_k) = sum_n f_n exp(i n theta_k) at boundary vertices."""
-    if 2 * field.N + 1 > mesh.n_boundary:
-        raise ConfigurationError(
-            f"field order N={field.N} exceeds boundary resolution "
-            f"({mesh.n_boundary} vertices)"
-        )
-    theta = mesh.boundary_angles
-    E = np.exp(1j * np.outer(theta, field.modes))
-    return E @ field.coeffs
-

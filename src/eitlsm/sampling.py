@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import (AuxCircle, SingularTraceComputer, disk_dipole_traces, layer_current_matrix,
-                     layer_current_multipliers)
+from .dipole import AuxCircle, SingularTraceComputer, disk_dipole_traces, layer_current_matrix
 from .errors import ConfigurationError, EstimationError
 from .forward import NdMap
 from .geometry import BoundaryField, DiskMesh, fourier_modes
@@ -276,7 +275,9 @@ _DIRECTION_SETS = {
     "y": ((0.0, 1.0),),
 }
 
-R_MAX = 0.9  # sampling points keep this clear of the boundary, where FEM traces lose accuracy
+# A contract on every sweep, not a limit of the closed-form traces the CLI uses:
+# it keeps the FEM reference traces (2 * h_target clearance) valid for h_target <= 0.05.
+R_MAX = 0.9
 
 
 def check_sweep_settings(spacing: float, r_max: float, directions: str, where: str = "") -> None:
@@ -286,7 +287,7 @@ def check_sweep_settings(spacing: float, r_max: float, directions: str, where: s
         raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
     if r_max > R_MAX:
         raise ConfigurationError(
-            f"{where}grid.r_max: must be <= {R_MAX} (trace accuracy margin), got {r_max}")
+            f"{where}grid.r_max: must be <= {R_MAX}, got {r_max}")
     if directions not in _DIRECTION_SETS:
         raise ConfigurationError(f"{where}directions: unknown strategy {directions!r}; "
                                  f"choose from {sorted(_DIRECTION_SETS)}")
@@ -465,22 +466,16 @@ class DensityResult:
 
 
 def reconstruct_via_density(data: RelativeData, aux: AuxCircle, rhs: BoundaryField,
-                            alpha: float, form: str = "quadrature") -> DensityResult:
+                            alpha: float) -> DensityResult:
     """Tikhonov solve parameterized through the auxiliary-circle density.
 
     Minimizes ||A L omega - phi||_{1/2}^2 + alpha ||omega||_{L2(dOmega)}^2
-    over the density samples; the induced current L omega plays the role of
-    psi. ``form`` selects the quadrature kernel (default) or the closed
-    Fourier multipliers for the layer operator.
+    over the density samples; the induced current L omega, with L the
+    quadrature form ``layer_current_matrix``, plays the role of psi.
     """
     if alpha <= 0.0:
         raise ConfigurationError(f"regularization parameter must be positive, got {alpha}")
-    if form == "quadrature":
-        lmat = layer_current_matrix(aux, data.N)
-    elif form == "fourier":
-        lmat = layer_current_multipliers(aux, data.N)
-    else:
-        raise ConfigurationError(f"unknown layer-operator form {form!r}")
+    lmat = layer_current_matrix(aux, data.N)
     phit = data.weighted_rhs(rhs)
     design = (data.weights[:, None] * data.matrix) @ lmat  # omega -> weighted residual space
     gram = design.conj().T @ design + (alpha * aux.weight) * np.eye(aux.count)

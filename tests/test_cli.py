@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import eitlsm
-from eitlsm import ConfigurationError, cli, dipole, forward, load_nd_map
+from eitlsm import (ConfigurationError, SolverError, assemble_system, build_disk_mesh, cli,
+                    dipole, forward, load_nd_map, parse_scenario)
 from eitlsm.cli import load_run_config, main, parse_run_config
 from conftest import SWEEP_DOC
 
@@ -107,6 +108,7 @@ def _ellipse(**fields):
     ({"grid": {"spacing": 0}}, [], "config.grid.spacing"),
     ({"cutoff": {"c": 0.5}}, [], "config.cutoff.c"),
     ({"cutoff": {"rule": "quantile", "q": 1.5}}, [], "config.cutoff.q"),
+    ({"grid": {"r_max": -0.5}}, [], "config.grid.r_max"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)
@@ -166,6 +168,22 @@ def test_simulate_refuses_non_coercive(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": bad, "h_target": 0.2, "N": 4})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
     assert "coercivity" in capsys.readouterr().err
+
+
+def test_simulate_refuses_inclusion_no_centroid_samples(tmp_path, capsys):
+    # gamma = -I on a disk that holds no triangle centroid of the mesh
+    bad = {"inclusions": [{"shape": "disk", "center": [0.5, 0.0], "radius": 0.01,
+                           "h": [[-2.0, 0.0], [0.0, -2.0]]}]}
+    mesh = build_disk_mesh(0.2)
+    field = parse_scenario(bad)
+    assert not field.geometry.contains(mesh.vertices[mesh.triangles].mean(axis=1)).any()
+    with pytest.raises(SolverError, match="coercivity"):
+        assemble_system(mesh, field)
+    cfg = write_config(tmp_path, {"scenario": bad, "h_target": 0.2, "N": 4})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert "coercivity" in capsys.readouterr().err
+    assert not list(out.glob("*.nd"))
 
 
 # ---------------------------------------------------------------------------

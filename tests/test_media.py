@@ -9,12 +9,12 @@ from eitlsm import (
     InclusionGeometry,
     check_absorption,
     check_coercivity,
-    evaluate_admittance,
     parse_scenario,
 )
 from conftest import ANISO_DOC
 
 I2 = np.eye(2)
+Z_GRID = np.exp(2j * np.pi * np.arange(64) / 64)  # the z values check_coercivity scans
 
 
 def disk_field(h_matrix, center=(0.0, 0.0), radius=0.3):
@@ -24,25 +24,20 @@ def disk_field(h_matrix, center=(0.0, 0.0), radius=0.3):
 
 def test_identity_outside_inclusion():
     fld = disk_field(np.diag([1.0, 1.0]), center=(0.0, 0.0), radius=0.3)
-    assert np.array_equal(evaluate_admittance(fld, (0.5, 0.5)), I2)
-    assert np.array_equal(evaluate_admittance(fld, (0.0, 0.31)), I2)
+    gam = fld.evaluate_batch([(0.5, 0.5), (0.0, 0.31)])
+    assert gam.shape == (2, 2, 2)
+    assert np.array_equal(gam, [I2, I2])
 
 
 def test_zero_perturbation_identity_everywhere():
     fld = disk_field(np.zeros((2, 2)))
-    for x in [(0.0, 0.0), (0.1, 0.2), (0.9, 0.0)]:
-        assert np.array_equal(evaluate_admittance(fld, x), I2)
+    gam = fld.evaluate_batch([(0.0, 0.0), (0.1, 0.2), (0.9, 0.0)])
+    assert np.array_equal(gam, [I2] * 3)
 
 
 def test_constant_isotropic_contrast():
     fld = disk_field(np.diag([1.0, 1.0]))
-    assert np.allclose(evaluate_admittance(fld, (0.1, 0.0)), np.diag([2.0, 2.0]))
-
-
-def test_outside_body_rejected():
-    fld = disk_field(np.zeros((2, 2)))
-    with pytest.raises(ConfigurationError):
-        evaluate_admittance(fld, (1.2, 0.0))
+    assert np.allclose(fld.evaluate_batch([(0.1, 0.0)])[0], np.diag([2.0, 2.0]))
 
 
 def test_asymmetric_h_rejected():
@@ -54,7 +49,7 @@ def test_geometry_clearance_enforced():
     with pytest.raises(ConfigurationError):
         InclusionGeometry(components=[Disk(center=(0.8, 0.0), radius=0.25)])
     geom = InclusionGeometry(components=[Disk(center=(0.4, 0.0), radius=0.25)])
-    assert geom.clearance == pytest.approx(0.35)
+    assert geom.components[0].outer_radius_from_origin() == pytest.approx(0.65)
 
 
 def test_geometry_disjoint_components_enforced():
@@ -72,15 +67,9 @@ def test_ellipse_membership_with_tilt():
     assert not e.contains(np.array([0.45, 0.0]))
 
 
-def sample_disk_points(n=200, seed=11):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1, 1, size=(2 * n, 2))
-    return pts[np.linalg.norm(pts, axis=1) < 0.98][:n]
-
-
 def test_coercivity_identity_exact():
     fld = AdmittanceField(InclusionGeometry(components=[]), [])
-    verdict = check_coercivity(fld, sample_disk_points())
+    verdict = check_coercivity(fld)
     assert verdict["holds"]
     assert verdict["alpha"] == 1.0
     assert verdict["z"] == 1.0
@@ -88,7 +77,7 @@ def test_coercivity_identity_exact():
 
 def test_coercivity_real_contraction():
     fld = disk_field(-0.5 * I2)
-    verdict = check_coercivity(fld, sample_disk_points())
+    verdict = check_coercivity(fld)
     assert verdict["holds"]
     # direct eigenvalue oracle: Hermitian part of gamma inside is 0.5 I
     assert verdict["alpha"] == pytest.approx(0.5, abs=1e-12)
@@ -98,37 +87,33 @@ def test_coercivity_real_contraction():
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 2.0, 5.0])
 def test_coercivity_isotropic_alpha(sigma):
     fld = disk_field((sigma - 1.0) * I2)
-    verdict = check_coercivity(fld, sample_disk_points())
+    verdict = check_coercivity(fld)
     assert verdict["holds"]
     assert verdict["alpha"] == pytest.approx(min(1.0, sigma), abs=1e-12)
 
 
 def test_coercivity_absorbing_inclusion():
     # gamma = (1 - i) I inside: both the background and the inclusion value
-    # rotate into the right half-plane at z = exp(i pi/8)
+    # lie in the right half-plane
     fld = disk_field(-1j * I2)
-    verdict = check_coercivity(fld, sample_disk_points(), z_grid_size=16)
+    verdict = check_coercivity(fld)
     assert verdict["holds"]
-    z = np.exp(1j * np.pi / 8)
-    assert (z * (1 - 1j)).real > 0 and z.real > 0
+    # oracle: alpha(z) = min(Re z, Re(z(1-i))) maximized on the 64-point grid
+    alphas = np.minimum(Z_GRID.real, (Z_GRID * (1 - 1j)).real)
+    assert verdict["alpha"] == pytest.approx(alphas.max(), abs=1e-12)
+    assert verdict["z"] == Z_GRID[alphas.argmax()]
 
 
 def test_coercivity_needs_rotated_z():
     # gamma = (-1 + i) I inside fails at z = 1 but holds on the z grid
     fld = disk_field(np.array([[-2.0 + 1.0j, 0.0], [0.0, -2.0 + 1.0j]]))
-    verdict = check_coercivity(fld, sample_disk_points(), z_grid_size=16)
+    verdict = check_coercivity(fld)
     assert verdict["holds"]
     assert verdict["z"] != 1.0
-    # oracle: alpha(z) = min(Re z, Re(z(-1+i))) maximized on the 16-point grid
-    zs = np.exp(2j * np.pi * np.arange(16) / 16)
-    alphas = np.minimum(zs.real, (zs * (-1 + 1j)).real)
+    # oracle: alpha(z) = min(Re z, Re(z(-1+i))) maximized on the 64-point grid
+    alphas = np.minimum(Z_GRID.real, (Z_GRID * (-1 + 1j)).real)
     assert verdict["alpha"] == pytest.approx(alphas.max(), abs=1e-12)
-
-
-def test_coercivity_grid_size_validated():
-    fld = disk_field(np.zeros((2, 2)))
-    with pytest.raises(ConfigurationError):
-        check_coercivity(fld, sample_disk_points(), z_grid_size=4)
+    assert verdict["z"] == Z_GRID[alphas.argmax()]
 
 
 def test_absorption_uniform():
@@ -161,8 +146,8 @@ def test_absorption_empty_region_flagged():
 
 def test_evaluation_is_pure():
     fld = disk_field(np.array([[0.5, 0.1], [0.1, 0.3]]))
-    a = evaluate_admittance(fld, (0.05, 0.05))
-    b = evaluate_admittance(fld, (0.05, 0.05))
+    a = fld.evaluate_batch([(0.05, 0.05)])
+    b = fld.evaluate_batch([(0.05, 0.05)])
     assert np.array_equal(a, b)
 
 
@@ -173,9 +158,9 @@ def test_evaluation_is_pure():
 def test_parse_scenario_aniso():
     fld = parse_scenario(ANISO_DOC)
     assert len(fld.geometry.components) == 1
-    g = evaluate_admittance(fld, (0.2, 0.1))
+    g = fld.evaluate_batch([(0.2, 0.1)])[0]
     assert g[0, 1] == g[1, 0] == 0.3 - 0.1j
-    assert check_coercivity(fld, sample_disk_points())["holds"]
+    assert check_coercivity(fld)["holds"]
     assert check_absorption(fld)["holds"]
 
 

@@ -67,6 +67,10 @@ _DEFAULTS = {
     "background_path": "background.nd",
 }
 
+# the files simulate and reconstruct write beside the two ND files
+_RUN_FILES = ("simulate_manifest.json", "reconstruct_manifest.json", "indicator.csv",
+              "mask.csv", "indicator.pgm", "indicator_infeasible.csv")
+
 
 @dataclass
 class RunConfig:
@@ -144,6 +148,13 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
               "q": json_number(cutoff["q"], "config.cutoff.q")}
     check_cutoff(**cutoff, where="config.")
+    taken = set(_RUN_FILES)
+    for key in ("measured_path", "background_path"):
+        path = os.path.normpath(str(top[key]))
+        if path in taken:
+            raise ConfigurationError(
+                f"config.{key}: {top[key]!r} collides with another file the runs write")
+        taken.add(path)
 
     return RunConfig(
         scenario=scenario_field,
@@ -403,6 +414,9 @@ def main(argv=None) -> int:
         return 0 if run_verify(cfg) else 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # e.g. an output path that cannot be written
+        print(f"configuration error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

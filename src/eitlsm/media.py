@@ -9,7 +9,8 @@ model assumptions are verified numerically:
   taking the smallest eigenvalue of the Hermitian part of z * gamma over
   the values gamma takes;
 * absorption  -- Im(conj(zeta) . h(x) zeta) <= -beta |zeta|^2 on an open
-  subset of the inclusion, checked through the largest eigenvalue of Im h.
+  subset of the inclusion, checked through the largest eigenvalue of Im h_k
+  over the components that make up that subset.
 
 Scenario documents are JSON; parse errors name the offending field.
 """
@@ -57,15 +58,6 @@ class Disk:
     def outer_radius_from_origin(self) -> float:
         return float(np.hypot(*self.center)) + self.radius
 
-    def sample_interior(self) -> np.ndarray:
-        """Deterministic interior sample: center plus three scaled rings."""
-        pts = [np.asarray(self.center, dtype=float)]
-        for t in (0.3, 0.6, 0.9):
-            ang = 2 * np.pi * np.arange(8) / 8
-            ring = np.column_stack([np.cos(ang), np.sin(ang)]) * (t * self.radius)
-            pts.append(ring + self.center)
-        return np.vstack(pts)
-
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -93,17 +85,6 @@ class Ellipse:
 
     def outer_radius_from_origin(self) -> float:
         return float(np.hypot(*self.center)) + max(self.semi_axes)
-
-    def sample_interior(self) -> np.ndarray:
-        c, s = np.cos(self.tilt), np.sin(self.tilt)
-        rot = np.array([[c, -s], [s, c]])
-        a, b = self.semi_axes
-        pts = [np.asarray(self.center, dtype=float)]
-        for t in (0.3, 0.6, 0.9):
-            ang = 2 * np.pi * np.arange(8) / 8
-            ring = np.column_stack([a * np.cos(ang), b * np.sin(ang)]) * t
-            pts.append(ring @ rot.T + self.center)
-        return np.vstack(pts)
 
 
 Shape = Disk | Ellipse
@@ -161,9 +142,9 @@ class AdmittanceField:
     geometry : InclusionGeometry
     perturbations : list, one entry per geometry component
         Each entry is a constant 2x2 complex symmetric matrix.
-    absorption_region : list of shapes or None
-        Open subset of D on which the absorption assumption is claimed;
-        defaults to the whole inclusion.
+    absorption_region : list of component indices or None
+        Components on which the absorption assumption is claimed; None
+        means all of them.
     """
 
     def __init__(self, geometry: InclusionGeometry, perturbations, absorption_region=None):
@@ -183,15 +164,6 @@ class AdmittanceField:
         for shape, h in zip(self.geometry.components, self.perturbations):
             out[shape.contains(points)] += h
         return out
-
-    def absorption_sample_points(self) -> np.ndarray:
-        """Deterministic sample of the absorption region (empty if no region)."""
-        region = self.absorption_region
-        if region is None:
-            region = self.geometry.components
-        if not region:
-            return np.zeros((0, 2))
-        return np.vstack([s.sample_interior() for s in region])
 
 
 def _hermitian_eig(mats: np.ndarray, sign: float) -> np.ndarray:
@@ -228,16 +200,16 @@ def check_coercivity(fld: AdmittanceField) -> dict:
 def check_absorption(fld: AdmittanceField) -> dict:
     """Verify Im(conj(zeta) . h zeta) <= -beta |zeta|^2 on the absorption region.
 
-    beta is minus the largest eigenvalue of Im h (a real symmetric matrix
-    for symmetric h) over :meth:`AdmittanceField.absorption_sample_points`.
-    With no sample points the verdict is negative and carries an explanatory
-    ``reason``.
+    h is constant on each component, so beta is minus the largest eigenvalue
+    of Im h_k (a real symmetric matrix for symmetric h_k) over the region's
+    components. An empty region gives a negative verdict with a ``reason``.
     """
-    sample_points = fld.absorption_sample_points()
-    if len(sample_points) == 0:
+    region = fld.absorption_region
+    if region is None:
+        region = range(len(fld.perturbations))
+    if not region:
         return {"holds": False, "beta": 0.0, "reason": "absorption region is empty"}
-    gam = fld.evaluate_batch(sample_points)
-    h_im = np.imag(gam - _IDENTITY)
+    h_im = np.imag([fld.perturbations[k] for k in region])
     beta = -float(_hermitian_eig(h_im, 1.0).max())
     return {"holds": beta > 0.0, "beta": beta}
 
@@ -309,8 +281,7 @@ def parse_scenario(doc: dict) -> AdmittanceField:
 
         {"inclusions": [{"shape": "disk", "center": [x, y], "radius": r,
                          "h": [[h11, h12], [h21, h22]]}, ...],
-         "absorption_region": {"components": [indices]}          # optional
-                            | {"shapes": [shape objects]}}
+         "absorption_region": {"components": [indices]}}         # optional
 
     Every h entry holds four complex numbers written as [re, im] pairs
     (plain numbers are taken as real); h21 must equal h12.
@@ -347,26 +318,18 @@ def parse_scenario(doc: dict) -> AdmittanceField:
     if spec is not None:
         if not isinstance(spec, dict):
             raise ConfigurationError("scenario.absorption_region: expected an object")
-        extra = set(spec) - {"components", "shapes"}
+        extra = set(spec) - {"components"}
         if extra:
             raise ConfigurationError(f"scenario.absorption_region: unknown keys {sorted(extra)}")
-        if ("components" in spec) == ("shapes" in spec):
-            raise ConfigurationError(
-                "scenario.absorption_region: give exactly one of 'components' or 'shapes'"
-            )
-        key = "components" if "components" in spec else "shapes"
-        if not isinstance(spec[key], list):
-            raise ConfigurationError(f"scenario.absorption_region.{key}: expected a list")
+        if not isinstance(spec.get("components"), list):
+            raise ConfigurationError("scenario.absorption_region.components: expected a list")
         region = []
-        for j, item in enumerate(spec[key]):
-            where = f"scenario.absorption_region.{key}[{j}]"
-            if key == "shapes":
-                region.append(_shape_from_json(item, where))
-                continue
+        for j, item in enumerate(spec["components"]):
+            where = f"scenario.absorption_region.components[{j}]"
             i = json_number(item, where, integer=True)
             if not 0 <= i < len(shapes):
                 raise ConfigurationError(f"{where}: no inclusion component {i}")
-            region.append(shapes[i])
+            region.append(i)
     return AdmittanceField(geometry, perts, absorption_region=region)
 
 

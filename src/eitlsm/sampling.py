@@ -201,31 +201,20 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
     steps = np.zeros(len(phit), dtype=int)
 
     idx = np.flatnonzero(~high & ~low)
-    d = delta[idx]
-    hi = np.full(len(idx), max(float(s2[0]), 1.0))
-    r_hi = residual(hi, idx)
-    grow = r_hi < d
-    while grow.any():
-        hi[grow] *= 16.0
-        r_hi[grow] = residual(hi[grow], idx[grow])
-        grow = r_hi < d
-    lo, r_lo = hi.copy(), r_hi
-    unbracketed = np.zeros(len(idx), dtype=bool)
-    shrink = r_lo > d
-    while shrink.any():
-        lo[shrink] /= 16.0
-        unbracketed |= shrink & (lo < 1e-300)
-        shrink &= ~unbracketed
-        r_lo[shrink] = residual(lo[shrink], idx[shrink])
-        shrink &= r_lo > d
-
-    mid = np.sqrt(lo * hi)
+    d, f, c = delta[idx], floor[idx], ceiling[idx]
+    # With U unitary, sum |beta_i|^2 = c^2, so r(alpha) >= alpha / (s_1^2 + alpha) * c,
+    # which reaches d at hi; and with s_min the least positive singular value,
+    # r(alpha)^2 <= f^2 + (alpha / s_min^2)^2 (c^2 - f^2), which is at most d^2 at lo.
+    hi = s2[0] * d / (c - d)
+    s_min2 = s[s > 0.0][-1] ** 2 if s[0] > 0.0 else 0.0
+    lo = s_min2 * np.sqrt((d - f) / (c - f) * ((d + f) / (c + f)))
+    mid = hi.copy()  # the alpha reported for a row with no usable bracket
     converged = np.zeros(len(idx), dtype=bool)
-    active = np.flatnonzero(~unbracketed)
+    active = np.flatnonzero(lo > 0.0)  # lo underflows to 0 when s_min^2 does
     for _ in range(MOROZOV_MAX_STEPS):
         if not len(active):
             break
-        mid[active] = np.sqrt(lo[active] * hi[active])
+        mid[active] = np.sqrt(lo[active]) * np.sqrt(hi[active])  # lo * hi may underflow
         steps[idx[active]] += 1
         res = residual(mid[active], idx[active])
         hit = np.abs(res - d[active]) <= MOROZOV_RTOL * d[active]
@@ -246,14 +235,16 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
 def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> MorozovResult:
     """Select alpha so that the residual matches the discrepancy level delta.
 
-    residual(alpha) increases strictly from the alpha -> 0 floor to ||rhs||;
-    bisection on log(alpha), inside a bracket grown from max(s_1^2, 1) by
-    factors of 16, brings it within MOROZOV_RTOL of delta. Outside the
-    feasible window the result is flagged: below the floor the alpha -> 0
-    (minimum-norm) solution is returned, at or above ||rhs|| the zero current
-    already satisfies the constraint. A bisection that fails (no lower
-    bracket above 1e-300, MOROZOV_MAX_STEPS spent or a non-finite residual)
-    is flagged "not-converged". This is a one-row call into the sweep kernel.
+    residual(alpha) increases strictly from the alpha -> 0 floor f to
+    c = ||rhs||; bisection on log(alpha) brings it within MOROZOV_RTOL of
+    delta, inside the closed-form bracket hi = s_1^2 delta / (c - delta) and
+    lo = s_min^2 sqrt((delta^2 - f^2) / (c^2 - f^2)), with s_min the least
+    positive singular value. Outside the feasible window the result is
+    flagged: below the floor the alpha -> 0 (minimum-norm) solution is
+    returned, at or above ||rhs|| the zero current already satisfies the
+    constraint. A bisection that fails (a bracket that underflows to 0, as
+    when s_min^2 does, MOROZOV_MAX_STEPS spent or a non-finite residual) is
+    flagged "not-converged". This is a one-row call into the sweep kernel.
     """
     if delta <= 0.0:
         raise ConfigurationError(f"discrepancy level must be positive, got {delta}")
@@ -285,6 +276,11 @@ def check_sweep_settings(spacing: float, r_max: float, directions: str, where: s
     name the setting as the run configuration does (``grid.r_max``) after ``where``."""
     if spacing <= 0.0:
         raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
+    # the lattice has (2k + 1)^2 cells, k = floor(r_max / spacing): over 10^6 when
+    # k >= 500. The quotient stays a float, since it may overflow an int or be inf.
+    if r_max / spacing + 1e-9 >= 500:
+        raise ConfigurationError(f"{where}grid.spacing: {spacing} gives a lattice of over "
+                                 f"10^6 cells for r_max {r_max}")
     if r_max > R_MAX:
         raise ConfigurationError(
             f"{where}grid.r_max: must be <= {R_MAX}, got {r_max}")

@@ -109,6 +109,14 @@ def _ellipse(**fields):
     ({"cutoff": {"c": 0.5}}, [], "config.cutoff.c"),
     ({"cutoff": {"rule": "quantile", "q": 1.5}}, [], "config.cutoff.q"),
     ({"grid": {"r_max": -0.5}}, [], "config.grid.r_max"),
+    ({"scenario": dict(SWEEP_DOC, absorption_region={"shapes": SWEEP_DOC["inclusions"]})}, [],
+     "scenario.absorption_region"),
+    ({"measured_path": "x.nd", "background_path": "x.nd"}, [], "config.background_path"),
+    ({"measured_path": "simulate_manifest.json"}, [], "config.measured_path"),
+    ({"background_path": "./sub/../mask.csv"}, [], "config.background_path"),
+    ({"grid": {"spacing": 1e-300}}, [], "config.grid.spacing"),
+    ({"grid": {"spacing": 5e-324}}, [], "config.grid.spacing"),
+    ({"grid": {"spacing": 5e-4}}, [], "config.grid.spacing"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)
@@ -116,6 +124,17 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, fie
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and field in err
     assert not (tmp_path / "run").exists()
+
+
+def test_unwritable_output_exits_2_naming_path(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_config(tmp_path, {"h_target": 0.2, "N": 4, "measured_path": "sub/m.nd"})
+    for out, path in ((taken, taken), (tmp_path / "run", tmp_path / "run" / "sub" / "m.nd")):
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(path) in err
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ from eitlsm import (
     compute_nd_map,
     fourier_modes,
     load_nd_map,
-    nd_map_from_system,
     parse_scenario,
     reciprocity_defect,
     save_nd_map,
     trace_to_fourier,
 )
-from conftest import ANISO_DOC, two_phase_diagonal
+from conftest import two_phase_diagonal
 
 
 def background_field():

@@ -199,3 +199,8 @@ def test_parse_scenario_absorption_components():
     fld = parse_scenario(doc)
     verdict = check_absorption(fld)
     assert verdict["holds"] and verdict["beta"] == pytest.approx(1.0, abs=1e-12)
+    # the default region takes every component: the real h of component 1
+    # sets beta = -max eigenvalue of Im h_1 = 0, and the verdict fails
+    del doc["absorption_region"]
+    verdict = check_absorption(parse_scenario(doc))
+    assert not verdict["holds"] and verdict["beta"] == 0.0

@@ -11,7 +11,6 @@ from eitlsm import (
     EstimationError,
     RelativeData,
     SingularTraceComputer,
-    build_disk_mesh,
     estimate_support,
     fourier_modes,
     grid_points,
@@ -25,7 +24,7 @@ from eitlsm import (
     write_indicator_pgm,
     write_mask_csv,
 )
-from eitlsm.sampling import _morozov_rows, _solve_weighted
+from eitlsm.sampling import MOROZOV_MAX_STEPS, _morozov_rows, _solve_weighted
 from conftest import two_phase_diagonal
 
 
@@ -215,11 +214,28 @@ def test_noise_monotonicity_in_delta():
 
 def test_morozov_underflow_not_converged():
     # s_2^2 underflows to 0, so the residual never drops below 1 > delta and
-    # the lower bracket runs out at 1e-300: flagged, never reported as "ok"
+    # the closed-form lower bracket s_min^2 * sqrt(...) is 0: flagged, never
+    # reported as "ok"
     data = RelativeData(np.diag([1.0, 1e-200]), 1)
     res = morozov_alpha(data, BoundaryField([1.0, 1.0], 1, 0.5), 0.5)
     assert res.flag == "not-converged"
     assert not res.feasible
+
+
+def test_morozov_bracket_spans_a_wide_spectrum():
+    # singular values from 1 down to 1e-150: the smallest-residual rows need
+    # alpha near 1e-303, which the closed-form bracket still encloses
+    N = 8
+    s = np.logspace(0.0, -150.0, 2 * N)
+    data = RelativeData(np.diag(s / np.abs(fourier_modes(N))), N)
+    np.testing.assert_allclose(data.singular_values, s, rtol=1e-12)
+    rng = np.random.default_rng(5)
+    phit = rng.standard_normal((6, 2 * N)) + 1j * rng.standard_normal((6, 2 * N))
+    delta = np.repeat([0.3, 0.03, 0.003], 2) * np.linalg.norm(phit, axis=1)
+    rows = _morozov_rows(data, phit, delta)
+    assert (rows.flag == "ok").all()
+    assert (np.abs(rows.residual - delta) <= 1e-6 * delta).all()
+    assert (rows.steps <= MOROZOV_MAX_STEPS).all()
 
 
 def test_morozov_batch_rows_are_independent():

@@ -32,7 +32,7 @@ from .forward import (
     nd_map_from_system,
     save_nd_map,
 )
-from .geometry import BoundaryField, build_disk_mesh, fourier_modes
+from .geometry import BoundaryField, build_disk_mesh, check_mesh_settings, fourier_modes
 from .media import check_absorption, json_number, load_scenario, parse_scenario
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
@@ -62,7 +62,6 @@ _DEFAULTS = {
     "delta_rule": {"epsilon": 0.01},
     "cutoff": {"rule": "multiplier", "c": DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1},
     "directions": "max-xy",
-    "threads": 1,
     "measured_path": "measured.nd",
     "background_path": "background.nd",
 }
@@ -103,9 +102,9 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     """Validate a configuration document; unknown keys are rejected."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config: top level must be an object")
-    unknown = set(doc) - set(_DEFAULTS)
+    unknown = sorted(set(doc) - set(_DEFAULTS))
     if unknown:
-        raise ConfigurationError(f"config: unknown keys {sorted(unknown)}")
+        raise ConfigurationError(f"config.{unknown[0]}: unknown keys {unknown}")
     noise = _merge_section("noise", doc.get("noise", {}), _DEFAULTS["noise"])
     grid = _merge_section("grid", doc.get("grid", {}), _DEFAULTS["grid"])
     delta = _merge_section("delta_rule", doc.get("delta_rule", {}), _DEFAULTS["delta_rule"])
@@ -123,8 +122,7 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
 
     top = {**_DEFAULTS, **doc}
     h_target = json_number(top["h_target"], "config.h_target")
-    if not (0.0 < h_target <= 0.5):
-        raise ConfigurationError(f"config.h_target: must lie in (0, 0.5], got {h_target}")
+    check_mesh_settings(h_target, where="config.")
     n_order = json_number(top["N"], "config.N", integer=True)
     if n_order < 1:
         raise ConfigurationError(f"config.N: must be >= 1, got {n_order}")
@@ -137,9 +135,6 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     epsilon = json_number(delta["epsilon"], "config.delta_rule.epsilon")
     if epsilon <= 0.0:
         raise ConfigurationError(f"config.delta_rule.epsilon: must be positive, got {epsilon}")
-    threads = json_number(top["threads"], "config.threads", integer=True)
-    if threads < 1:
-        raise ConfigurationError(f"config.threads: must be >= 1, got {threads}")
     grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
     if grid["r_max"] < 0.0:  # the library accepts an empty grid; a run on it finds no point
         raise ConfigurationError(f"config.grid.r_max: must be >= 0, got {grid['r_max']}")
@@ -151,6 +146,9 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     taken = set(_RUN_FILES)
     for key in ("measured_path", "background_path"):
         path = os.path.normpath(str(top[key]))
+        if os.path.isabs(path) or path.split(os.sep)[0] in (os.curdir, os.pardir):
+            raise ConfigurationError(
+                f"config.{key}: {top[key]!r} is not a path inside the output directory")
         if path in taken:
             raise ConfigurationError(
                 f"config.{key}: {top[key]!r} collides with another file the runs write")
@@ -199,7 +197,13 @@ def _write_manifest(out_dir: str, mode: str, cfg: RunConfig, extra: dict) -> str
 
 def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     """Simulate ND data: measured (optionally noisy) + background + manifest."""
+    check_mesh_settings(cfg.h_target, cfg.N, where="config.")
     os.makedirs(out_dir, exist_ok=True)
+    measured_path = os.path.join(out_dir, cfg.measured_path)
+    background_path = os.path.join(out_dir, cfg.background_path)
+    for path in (measured_path, background_path):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
+            raise ConfigurationError(f"{path}: not a file name in an existing directory")
     mesh = build_disk_mesh(cfg.h_target)
     absorption = check_absorption(cfg.scenario)
     system = assemble_system(mesh, cfg.scenario)  # refuses if coercivity fails
@@ -209,8 +213,6 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
         measured = add_noise(measured, cfg.noise_level, cfg.noise_seed)
     background = compute_background_nd_map(mesh, cfg.N)
 
-    measured_path = os.path.join(out_dir, cfg.measured_path)
-    background_path = os.path.join(out_dir, cfg.background_path)
     save_nd_map(measured, measured_path)
     save_nd_map(background, background_path)
     manifest_path = _write_manifest(out_dir, "simulate", cfg, {
@@ -242,7 +244,7 @@ def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
         with open(path) as fh:
             manifest = json.load(fh)
         simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: not UTF-8 or not JSON
         raise ConfigurationError(f"{path}: unreadable simulate manifest ({exc!r})") from None
     for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N)):
         if simulated[name] != value:
@@ -254,6 +256,8 @@ def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
 
 def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     """Full sweep from the two ND-map files to indicator, mask and image outputs."""
+    # no mesh is built here, but the config is refused as simulate refuses it
+    check_mesh_settings(cfg.h_target, cfg.N, where="config.")
     os.makedirs(out_dir, exist_ok=True)
     _check_simulated_with(cfg, out_dir)
     measured_path = os.path.join(out_dir, cfg.measured_path)

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
-from .geometry import DiskMesh, fourier_modes, fourier_projector
+from .geometry import DiskMesh, check_order, fourier_modes, fourier_projector
 from .media import AdmittanceField, InclusionGeometry, check_coercivity
 
 __all__ = [
@@ -173,10 +173,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
 def compute_nd_map(mesh: DiskMesh, admittance: AdmittanceField, N: int,
                    load_rule: str = "trapezoid") -> NdMap:
     """FEM Neumann-to-Dirichlet map: columns are traces of mode solves."""
-    if 2 * N + 1 > mesh.n_boundary:
-        raise ConfigurationError(
-            f"N={N} needs 2N+1 <= {mesh.n_boundary} boundary vertices"
-        )
+    check_order(N, mesh.n_boundary)  # before the assembly
     system = assemble_system(mesh, admittance)
     return nd_map_from_system(system, N, load_rule=load_rule)
 

@@ -15,7 +15,7 @@ space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "DiskMesh",
     "BoundaryField",
     "fourier_modes",
+    "check_mesh_settings",
     "build_disk_mesh",
     "fourier_projector",
     "trace_to_fourier",
@@ -87,13 +88,14 @@ class DiskMesh:
     boundary : int array (nb,), vertex indices on the unit circle ordered
         by strictly increasing polar angle in [0, 2pi)
     h_target : float, requested maximum edge length
+    boundary_angles : float array (nb,), polar angle in [0, 2pi) of each boundary vertex
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     boundary: np.ndarray
     h_target: float
-    _boundary_angles: np.ndarray | None = field(default=None, repr=False, compare=False)
+    boundary_angles: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -102,13 +104,6 @@ class DiskMesh:
     @property
     def n_boundary(self) -> int:
         return len(self.boundary)
-
-    @property
-    def boundary_angles(self) -> np.ndarray:
-        if self._boundary_angles is None:
-            bp = self.vertices[self.boundary]
-            self._boundary_angles = np.mod(np.arctan2(bp[:, 1], bp[:, 0]), 2 * np.pi)
-        return self._boundary_angles
 
     @property
     def boundary_weights(self) -> np.ndarray:
@@ -123,11 +118,24 @@ class DiskMesh:
         return np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
 
 
-def _signed_areas(vertices, triangles):
-    p = vertices[triangles]
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+def check_order(N: int, nb: int, where: str = "") -> None:
+    """Refuse a truncation order N that aliases on nb boundary vertices (2N + 1 > nb)."""
+    if 2 * N + 1 > nb:
+        raise ConfigurationError(f"{where}truncation N={N} aliases on {nb} boundary vertices "
+                                 f"(need 2N+1 <= {nb})")
+
+
+def check_mesh_settings(h_target: float, N: int | None = None, where: str = "") -> None:
+    """Refuse an ``h_target`` that ``build_disk_mesh`` cannot use and an ``N`` (if given) that
+    aliases on its boundary; messages name ``h_target`` or ``N`` after ``where``."""
+    if not (0.0 < h_target <= 0.5):
+        raise ConfigurationError(f"{where}h_target: must lie in (0, 0.5], got {h_target}")
+    # M = ceil(1/h_target) rings hold 1 + 3M(M + 1) vertices, over 10^6 when M > 576;
+    # the quotient stays a float, since it may be inf
+    if 1.0 / float(h_target) > 576:
+        raise ConfigurationError(f"{where}h_target: {h_target} gives over 10^6 mesh vertices")
+    if N is not None:
+        check_order(N, 6 * math.ceil(1.0 / h_target), f"{where}N: ")
 
 
 def build_disk_mesh(h_target: float) -> DiskMesh:
@@ -141,10 +149,9 @@ def build_disk_mesh(h_target: float) -> DiskMesh:
     Parameters
     ----------
     h_target : float
-        Requested edge scale, 0 < h_target <= 0.5.
+        Requested edge scale in (0, 0.5], with M <= 576 (at most 10^6 vertices).
     """
-    if not (0.0 < h_target <= 0.5):
-        raise ConfigurationError(f"h_target must lie in (0, 0.5], got {h_target}")
+    check_mesh_settings(h_target)
     M = math.ceil(1.0 / h_target)
     verts = [np.zeros((1, 2))]
     ring_start = np.zeros(M + 1, dtype=int)
@@ -176,12 +183,9 @@ def build_disk_mesh(h_target: float) -> DiskMesh:
                 ib += 1
     triangles = np.array(tris, dtype=int)
 
-    areas = _signed_areas(vertices, triangles)
-    flip = areas < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
-
     boundary = ring_start[M] + np.arange(6 * M)
-    return DiskMesh(vertices=vertices, triangles=triangles, boundary=boundary, h_target=h_target)
+    x, y = vertices[boundary].T
+    return DiskMesh(vertices, triangles, boundary, h_target, np.mod(np.arctan2(y, x), 2 * np.pi))
 
 
 def fourier_projector(mesh: DiskMesh, N: int) -> np.ndarray:
@@ -195,11 +199,7 @@ def fourier_projector(mesh: DiskMesh, N: int) -> np.ndarray:
     with the weights of :attr:`DiskMesh.boundary_weights`; the n = 0 row is
     absent (mean removal is structural). Requires 2N + 1 <= nb.
     """
-    nb = mesh.n_boundary
-    if 2 * N + 1 > nb:
-        raise ConfigurationError(
-            f"truncation N={N} aliases on {nb} boundary vertices (need 2N+1 <= {nb})"
-        )
+    check_order(N, mesh.n_boundary)
     E = np.exp(-1j * np.outer(fourier_modes(N), mesh.boundary_angles))
     return E * (mesh.boundary_weights / (2 * np.pi))
 

@@ -312,9 +312,6 @@ class IndicatorMap:
     delta: np.ndarray  # (P,) per-point discrepancy level
     spacing: float
     r_max: float
-    epsilon: float
-    directions: str
-    N: int
     flag: np.ndarray  # (P,) Morozov flag (one of FLAGS) of the maximizing direction
     steps: np.ndarray  # (P,) its bisection steps
 
@@ -393,9 +390,6 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
         delta=delta[best],
         spacing=spacing,
         r_max=r_max,
-        epsilon=epsilon,
-        directions=directions,
-        N=data.N,
         flag=rows.flag[best],
         steps=rows.steps[best],
     )

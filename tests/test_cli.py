@@ -117,6 +117,12 @@ def _ellipse(**fields):
     ({"grid": {"spacing": 1e-300}}, [], "config.grid.spacing"),
     ({"grid": {"spacing": 5e-324}}, [], "config.grid.spacing"),
     ({"grid": {"spacing": 5e-4}}, [], "config.grid.spacing"),
+    ({"h_target": 0.1, "N": 30}, [], "config.N"),
+    ({"h_target": 1e-4}, [], "config.h_target"),
+    ({"h_target": 5e-324}, [], "config.h_target"),
+    ({"measured_path": "/tmp/run/mask.csv"}, [], "config.measured_path"),
+    ({"background_path": "sub/../../b.nd"}, [], "config.background_path"),
+    ({"measured_path": "sub/.."}, [], "config.measured_path"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)
@@ -135,6 +141,26 @@ def test_unwritable_output_exits_2_naming_path(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and str(path) in err
         assert "Traceback" not in err
+
+
+def test_unwritable_nd_path_refused_before_the_mesh(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate built a mesh before checking its output paths")
+
+    monkeypatch.setattr(cli, "build_disk_mesh", refuse)
+    (tmp_path / "run" / "taken").mkdir(parents=True)
+    for name in ("sub/b.nd", "taken"):
+        cfg = write_config(tmp_path, {"background_path": name})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(tmp_path / "run" / name) in err
+
+
+def test_reconstruct_refuses_aliasing_order_before_work(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"h_target": 0.1, "N": 30})
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "config.N" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +296,17 @@ def test_reconstruct_refuses_mixed_runs(small_run, tmp_path, capsys):
         assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{field} is" in err
+    assert not (run / "indicator.csv").exists()
+
+
+def test_reconstruct_refuses_undecodable_manifest(small_run, tmp_path, capsys):
+    _, cfg, out = small_run
+    run = tmp_path / "binary"
+    copy_nd_files(out, run)
+    (run / "simulate_manifest.json").write_bytes(b"\xff\xfe{")
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(run / "simulate_manifest.json") in err
     assert not (run / "indicator.csv").exists()
 
 

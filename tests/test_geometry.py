@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from eitlsm import (
     BoundaryField,
     ConfigurationError,
+    DiskMesh,
     build_disk_mesh,
     fourier_modes,
     trace_to_fourier,
@@ -50,6 +52,15 @@ def test_mesh_invariants(h):
     assert max_edge(mesh) <= 1.5 * h
 
 
+def test_mesh_holds_its_boundary_angles():
+    names = [f.name for f in dataclasses.fields(DiskMesh)]
+    assert names == ["vertices", "triangles", "boundary", "h_target", "boundary_angles"]
+    mesh = build_disk_mesh(0.2)
+    bp = mesh.vertices[mesh.boundary]
+    expected = np.mod(np.arctan2(bp[:, 1], bp[:, 0]), 2 * np.pi)
+    assert mesh.boundary_angles.tobytes() == expected.tobytes()
+
+
 def test_mesh_area_converges_to_pi():
     mesh = build_disk_mesh(0.05)
     assert abs(signed_areas(mesh).sum() - np.pi) <= 0.01 * np.pi
@@ -62,7 +73,7 @@ def test_mesh_refinement_scaling():
     assert max_edge(fine) <= 0.5 * 1.2 * max_edge(coarse)
 
 
-@pytest.mark.parametrize("h", [0.0, -0.1, 0.6])
+@pytest.mark.parametrize("h", [0.0, -0.1, 0.6, 1e-4, 5e-324])
 def test_mesh_h_target_validation(h):
     with pytest.raises(ConfigurationError):
         build_disk_mesh(h)

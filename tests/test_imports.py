@@ -1,7 +1,11 @@
-"""Every imported name is used: a small stand-in for a linter's unused-import rule."""
+"""Every imported name is used: a small stand-in for a linter's unused-import rule.
+The package exports every name its modules declare in ``__all__``."""
 
 import ast
+import importlib
 import os
+
+import eitlsm
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,3 +47,14 @@ def test_no_unused_imports():
         if names:
             found[rel] = names
     assert not found, f"imported but never used: {found}"
+
+
+def test_package_exports_every_module_all():
+    missing = {}
+    for name in sorted(os.listdir(os.path.join(ROOT, "src/eitlsm"))):
+        if name.endswith(".py") and name not in ("__init__.py", "__main__.py"):
+            module = importlib.import_module(f"eitlsm.{name[:-3]}")
+            lost = sorted(set(getattr(module, "__all__", ())) - set(eitlsm.__all__))
+            if lost:
+                missing[name] = lost
+    assert not missing, f"declared in a module's __all__ but not exported: {missing}"

@@ -124,9 +124,9 @@ def _dipole_neumann_data(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray) -> 
 class SingularTraceComputer:
     """Boundary traces of dipole singular solutions on a fixed mesh.
 
-    Assembles and factorizes the background (gamma = I) system once and
+    Assembles and condenses the background (gamma = I) system once and
     forms its boundary operator R = P S, where S maps nodal boundary
-    currents to nodal traces (one solve per boundary vertex) and P is the
+    currents to nodal traces (one column per boundary vertex) and P is the
     Fourier projector. ``trace_batch`` then costs two matrix products for any
     number of dipoles.
     """

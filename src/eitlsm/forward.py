@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
 from .geometry import DiskMesh, check_order, fourier_modes, fourier_projector
@@ -77,27 +75,22 @@ def reciprocity_defect(matrix: np.ndarray) -> float:
 
 
 class FemSystem:
-    """Assembled and factorized Neumann system on a disk mesh.
+    """Neumann system on a ring-ordered disk mesh, condensed onto its boundary.
 
-    Holds the complex-symmetric stiffness matrix for int gamma grad(u).grad(v)
-    and the LU factorization of the system augmented by the boundary
-    mean-constraint vector. The factorization is reused by every solve;
-    it is immutable and safe to share read-only. ``assemble_system`` also
-    records its coercivity verdict as ``coercivity``.
+    ``strips`` yields the lower block rows [L_i | D_i] of the complex-symmetric
+    stiffness matrix from the centre outward; S <- D_i - L_i S^-1 L_i^T
+    eliminates them, and the boundary Schur complement S bordered by the mean
+    constraint is the one matrix every boundary solve uses. It is immutable
+    and safe to share read-only; ``assemble_system`` records ``coercivity``.
     """
 
-    def __init__(self, mesh: DiskMesh, stiffness: sp.csc_matrix, constraint: np.ndarray):
+    def __init__(self, mesh: DiskMesh, strips, constraint: np.ndarray):
         self.mesh = mesh
-        self.stiffness = stiffness
-        augmented = sp.bmat(
-            [[stiffness, sp.csc_matrix(constraint[:, None])],
-             [sp.csc_matrix(constraint[None, :]), None]],
-            format="csc", dtype=complex,
-        )
-        try:
-            self._lu = spla.splu(augmented)
-        except RuntimeError as exc:
-            raise SolverError(f"constrained Neumann system is singular: {exc}") from None
+        schur = np.zeros((0, 0), dtype=complex)
+        for ring, strip in enumerate(strips):
+            lower, diag = np.hsplit(strip, [len(schur)])
+            schur = diag - lower @ _solve(schur, lower.T, f"Schur complement of ring {ring - 1}")
+        self._bordered = np.block([[schur, constraint[:, None]], [constraint, 0.0]])
 
     def boundary_solve(self, currents, rule: str = "trapezoid") -> np.ndarray:
         """Boundary traces, shape (nb, k), of the solutions driven by nodal currents (nb, k).
@@ -105,8 +98,8 @@ class FemSystem:
         Each column of ``currents`` is turned into a load b_i = int f phi_i dS:
         ``trapezoid`` (default) uses the periodic trapezoid rule in angle, the
         adjoint of the trace projection; ``galerkin`` evaluates the
-        P1-consistent edge mass exactly. All columns share one back-substitution
-        call; the Lagrange multiplier absorbs any residual mean of the data.
+        P1-consistent edge mass exactly. All columns share one solve of the
+        bordered matrix; the Lagrange multiplier absorbs any residual mean.
         """
         currents = np.asarray(currents, dtype=complex)
         mesh = self.mesh
@@ -119,23 +112,53 @@ class FemSystem:
             loads = (ell * (2 * currents + nxt) + np.roll(ell, 1, axis=0) * (2 * currents + prv)) / 6.0
         else:
             raise ConfigurationError(f"unknown load rule {rule!r}")
-        rhs = np.zeros((mesh.n_vertices + 1, currents.shape[1]), dtype=complex)
-        rhs[mesh.boundary] = loads
-        sol = self._lu.solve(rhs)
+        rhs = np.vstack([loads, np.zeros_like(loads[:1])])
+        sol = _solve(self._bordered, rhs, "boundary matrix bordered by the mean constraint")
         if not np.isfinite(sol).all():
             raise SolverError("Neumann solve produced non-finite values")
-        return sol[mesh.boundary]
+        return sol[:-1]
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError:
+        raise SolverError(f"constrained Neumann system is singular: {what}") from None
+
+
+def _ring_strips(starts: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """Yield the lower block rows [L_i | D_i]: ring i's rows, the columns of rings i-1 and i."""
+    ring = np.searchsorted(starts, rows, side="right") - 1
+    for i in range(len(starts) - 1):
+        first = starts[max(i - 1, 0)]
+        shape = (starts[i + 1] - starts[i], starts[i + 1] - first)
+        part = (ring == i) & (cols < starts[i + 1])  # the upper block is L_i^T, not L_i^H
+        position = (rows[part] - starts[i]) * shape[1] + cols[part] - first
+        real = np.bincount(position, values[part].real, shape[0] * shape[1])
+        imag = np.bincount(position, values[part].imag, shape[0] * shape[1])
+        yield (real + 1j * imag).reshape(shape)
 
 
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     """Assemble the P1 stiffness matrix with gamma frozen at centroids.
 
-    The coercivity assumption is checked on the admittance's values first,
-    so an inclusion that no centroid samples is judged too; assembly is
-    refused when it fails, since the constrained system is then not
-    guaranteed solvable (no Lax-Milgram bound).
+    The mesh must be in the ring order of ``build_disk_mesh``. Coercivity is
+    checked on the admittance's values first, so an inclusion that no centroid
+    samples is judged too; assembly is refused when it fails, since the
+    constrained system is then not guaranteed solvable (no Lax-Milgram bound).
     """
     verts, tris = mesh.vertices, mesh.triangles
+    nv, nb = mesh.n_vertices, mesh.n_boundary
+    # the first vertex of each ring, then nv: ring i of M = nb / 6 holds 6i vertices
+    starts = np.cumsum([0, 1] + [6 * i for i in range(1, nb // 6 + 1)])
+    if starts[-1] != nv:
+        raise ConfigurationError(f"DiskMesh with {nv} vertices, {nb} on the boundary, "
+                                 "is not in ring order")
+    apart = np.ptp(np.searchsorted(starts, tris, side="right"), axis=1) > 1
+    if apart.any():
+        raise ConfigurationError(f"DiskMesh triangle {np.argmax(apart)} spans non-adjacent rings")
+    if not np.array_equal(mesh.boundary, np.arange(starts[-2], nv)):
+        raise ConfigurationError("DiskMesh boundary is not its outer ring in vertex order")
     verdict = check_coercivity(admittance)
     if not verdict["holds"]:
         raise SolverError(
@@ -158,14 +181,10 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     )
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
-    stiffness = sp.coo_matrix(
-        (kloc.reshape(-1), (rows, cols)), shape=(mesh.n_vertices,) * 2
-    ).tocsc()
+    strips = _ring_strips(starts, rows, cols, kloc.reshape(-1))
 
     ell = mesh.boundary_edge_lengths()
-    constraint = np.zeros(mesh.n_vertices)
-    constraint[mesh.boundary] = 0.5 * (ell + np.roll(ell, 1))
-    system = FemSystem(mesh, stiffness, constraint)
+    system = FemSystem(mesh, strips, 0.5 * (ell + np.roll(ell, 1)))
     system.coercivity = verdict
     return system
 

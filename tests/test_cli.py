@@ -8,7 +8,7 @@ import pytest
 
 import eitlsm
 from eitlsm import (ConfigurationError, SolverError, assemble_system, build_disk_mesh, cli,
-                    dipole, forward, load_nd_map, parse_scenario)
+                    dipole, forward, load_nd_map, media, parse_scenario)
 from eitlsm.cli import load_run_config, main, parse_run_config
 from conftest import SWEEP_DOC
 
@@ -231,6 +231,35 @@ def test_simulate_refuses_inclusion_no_centroid_samples(tmp_path, capsys):
     assert not list(out.glob("*.nd"))
 
 
+def test_simulate_singular_system_exits_1(tmp_path, capsys, monkeypatch):
+    # gamma = 0 on every triangle passes the coercivity check on the scenario's
+    # values but zeroes every ring block, so the elimination meets a singular one
+    monkeypatch.setattr(media.AdmittanceField, "evaluate_batch",
+                        lambda self, points: np.zeros((len(points), 2, 2), dtype=complex))
+    cfg = write_config(tmp_path, {"h_target": 0.2, "N": 4})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: constrained Neumann system is singular: "
+                          "Schur complement of ring 0")
+    assert "Traceback" not in err
+    assert not list(out.glob("*.nd"))
+
+
+def test_runs_without_scipy(tmp_path):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = str(tmp_path / "out")
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now fails\n"
+            "from eitlsm.cli import main\n"
+            f"print([main([command, '--config', {cfg!r}, '--out', {out!r}])\n"
+            "       for command in ('simulate', 'reconstruct', 'verify')])\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(eitlsm.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.stdout.splitlines()[-1:] == ["[0, 0, 0]"], proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # reconstruct
 
@@ -391,6 +420,7 @@ def test_verify_passes_on_defaults(tmp_path, capsys):
     expected = ["background-spectrum:", "two-phase-spectrum:", "centered-dipole-trace:",
                 "layer-operator-modes:", "scalar-tikhonov:", "scalar-morozov:"]
     assert checks == expected  # every check exactly once
+    assert lines[-1] == "verification passed"  # N=16 resolved: no lowering to report
     assert all(ln.startswith("PASS") for ln in lines if ":" in ln and "verification" not in ln)
 
 
@@ -399,3 +429,6 @@ def test_verify_fails_on_coarse_mesh(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 1
     out = capsys.readouterr().out
     assert "FAIL background-spectrum" in out
+    # 24 boundary vertices resolve N=11, not the default 16
+    assert out.splitlines()[-1] == ("verification FAILED at N=11 "
+                                    "(config N=16; 2N+1 <= 24 boundary vertices)")

@@ -6,6 +6,8 @@ from eitlsm import (
     BoundaryField,
     ConfigurationError,
     Disk,
+    DiskMesh,
+    FemSystem,
     InclusionGeometry,
     SolverError,
     add_noise,
@@ -13,6 +15,7 @@ from eitlsm import (
     build_disk_mesh,
     compute_background_nd_map,
     compute_nd_map,
+    forward,
     fourier_modes,
     load_nd_map,
     parse_scenario,
@@ -39,11 +42,40 @@ def cos_field(N, n):
 # assembly
 
 
-def test_stiffness_constant_nullspace_and_symmetry(aniso_field):
+def ring_blocks(monkeypatch, mesh, field):
+    """Assemble, recording the lower block rows [L_i | D_i] the ring elimination consumed."""
+    seen = []
+    original = forward._ring_strips
+
+    def recording(*args):
+        for strip in original(*args):
+            seen.append(strip)
+            yield strip
+
+    monkeypatch.setattr(forward, "_ring_strips", recording)
+    return assemble_system(mesh, field), seen
+
+
+def rebuilt_stiffness(strips):
+    """The full matrix from the ring blocks: D_i on the diagonal, L_i below it, L_i^T above."""
+    nv = sum(len(strip) for strip in strips)
+    K = np.zeros((nv, nv), dtype=complex)
+    start = prev = 0
+    for strip in strips:
+        rows = slice(start, start + len(strip))
+        K[rows, start - prev:rows.stop] = strip
+        K[start - prev:start, rows] = strip[:, :prev].T
+        start, prev = rows.stop, len(strip)
+    return K
+
+
+def test_stiffness_constant_nullspace_and_symmetry(monkeypatch, aniso_field):
     mesh = build_disk_mesh(0.1)
-    system = assemble_system(mesh, aniso_field)
-    K = system.stiffness
-    # constants in the null space of the unconstrained Neumann matrix
+    _, strips = ring_blocks(monkeypatch, mesh, aniso_field)
+    K = rebuilt_stiffness(strips)
+    assert K.shape == (mesh.n_vertices,) * 2
+    # constants in the null space of the unconstrained Neumann matrix: the
+    # upper blocks L_i^T are the true ones only if the matrix is symmetric
     ones = np.ones(mesh.n_vertices)
     assert np.abs(K @ ones).max() <= 1e-12
     # complex symmetric (not Hermitian) for symmetric gamma
@@ -56,12 +88,12 @@ def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def test_identity_admittance_gives_laplace_stiffness():
+def test_identity_admittance_gives_laplace_stiffness(monkeypatch):
     mesh = build_disk_mesh(0.2)
-    system = assemble_system(mesh, background_field())
+    _, strips = ring_blocks(monkeypatch, mesh, background_field())
     # cotangent-formula oracle on a few random triangles
     rng = np.random.default_rng(0)
-    K = system.stiffness.toarray()
+    K = rebuilt_stiffness(strips)
     for _ in range(10):
         t = mesh.triangles[rng.integers(len(mesh.triangles))]
         p = mesh.vertices[t]
@@ -78,6 +110,68 @@ def test_identity_admittance_gives_laplace_stiffness():
                 u2, v2 = q[t[i]] - q[kk], q[t[j]] - q[kk]
                 expected += -0.5 * (u2 @ v2) / abs(_cross2(u2, v2))
             assert K[t[i], t[j]].real == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["trapezoid", "galerkin"])
+def test_condensed_solve_matches_full_bordered_solve(monkeypatch, aniso_field, rule):
+    mesh = build_disk_mesh(0.1)
+    system, strips = ring_blocks(monkeypatch, mesh, aniso_field)
+    nv, nb, bnd = mesh.n_vertices, mesh.n_boundary, mesh.boundary
+    ell = mesh.boundary_edge_lengths()
+    full = np.zeros((nv + 1, nv + 1), dtype=complex)
+    full[:nv, :nv] = rebuilt_stiffness(strips)
+    full[bnd, nv] = full[nv, bnd] = 0.5 * (ell + np.roll(ell, 1))
+    # load: trapezoid weights in angle, or the exact P1 mass of the boundary edges
+    if rule == "trapezoid":
+        mass = np.diag(mesh.boundary_weights)
+    else:
+        mass = np.zeros((nb, nb))
+        for k in range(nb):
+            edge = [k, (k + 1) % nb]
+            mass[np.ix_(edge, edge)] += ell[k] / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
+    currents = np.exp(1j * np.outer(mesh.boundary_angles, [-3, 1, 2]))
+    rhs = np.zeros((nv + 1, 3), dtype=complex)
+    rhs[bnd] = mass @ currents
+    expected = np.linalg.solve(full, rhs)[bnd]
+    traces = system.boundary_solve(currents, rule=rule)
+    assert np.linalg.norm(traces - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def renumbered(mesh, perm):
+    """The same mesh with vertex k taken from vertex perm[k]."""
+    new_index = np.argsort(perm)
+    return DiskMesh(mesh.vertices[perm], new_index[mesh.triangles], new_index[mesh.boundary],
+                    mesh.h_target, mesh.boundary_angles)
+
+
+def test_mesh_not_in_ring_order_refused():
+    mesh = build_disk_mesh(0.2)
+    field = background_field()
+    shuffled = renumbered(mesh, np.random.default_rng(1).permutation(mesh.n_vertices))
+    with pytest.raises(ConfigurationError, match="DiskMesh triangle .* spans non-adjacent rings"):
+        assemble_system(shuffled, field)
+    short = DiskMesh(mesh.vertices[:-1], mesh.triangles, mesh.boundary[:-1], mesh.h_target,
+                     mesh.boundary_angles[:-1])
+    with pytest.raises(ConfigurationError, match="DiskMesh with 90 vertices, 29 on the boundary"):
+        assemble_system(short, field)
+    # the outer ring, but listed from its second vertex
+    rotated = DiskMesh(mesh.vertices, mesh.triangles, np.roll(mesh.boundary, -1), mesh.h_target,
+                       np.roll(mesh.boundary_angles, -1))
+    with pytest.raises(ConfigurationError, match="DiskMesh boundary is not its outer ring"):
+        assemble_system(rotated, field)
+
+
+def test_singular_blocks_raise_solver_error():
+    mesh = build_disk_mesh(0.2)  # rings of 1, 6, ..., 30 vertices
+    sizes = [1] + [6 * i for i in range(1, 6)]
+    zero = [np.zeros((n, prev + n)) for prev, n in zip([0] + sizes, sizes)]
+    with pytest.raises(SolverError, match="singular: Schur complement of ring 0"):
+        FemSystem(mesh, zero, np.ones(mesh.n_boundary))
+    # identity blocks condense to the identity, but nothing fixes the mean
+    eye = [np.hstack([np.zeros((n, prev)), np.eye(n)]) for prev, n in zip([0] + sizes, sizes)]
+    unconstrained = FemSystem(mesh, eye, np.zeros(mesh.n_boundary))
+    with pytest.raises(SolverError, match="singular: boundary matrix bordered"):
+        unconstrained.boundary_solve(cos_current(mesh, 1))
 
 
 def test_assembly_refuses_non_coercive_field():
@@ -182,6 +276,16 @@ def test_concentric_diagonal_oracle(concentric_nd05):
     oracle = two_phase_diagonal(modes, rho=0.5, sigma=2.0)
     rel = np.abs(diag - oracle) / np.abs(oracle)
     assert rel[band].max() <= 0.02
+
+
+def test_complex_concentric_diagonal_oracle(mesh05):
+    # gamma = 2 + i inside rho = 0.5: the sign of Im gamma reaches the ND map
+    doc = {"inclusions": [{"shape": "disk", "center": [0.0, 0.0], "radius": 0.5,
+                           "h": [[[1.0, 1.0], 0.0], [0.0, [1.0, 1.0]]]}]}
+    nd = compute_nd_map(mesh05, parse_scenario(doc), 8)
+    oracle = two_phase_diagonal(nd.modes, rho=0.5, sigma=2.0 + 1.0j)
+    rel = np.abs(np.diag(nd.matrix) - oracle) / np.abs(oracle)
+    assert rel.max() <= 0.02
 
 
 def test_concentric_difference_decays_monotonically(concentric_nd05, background_nd05):

@@ -14,6 +14,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 
 # each module's __all__ is the one declaration of its public names
+from . import dipole, errors, forward, geometry, media, sampling
 from .dipole import *
 from .errors import *
 from .forward import *
@@ -21,4 +22,5 @@ from .geometry import *
 from .media import *
 from .sampling import *
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for module in (dipole, errors, forward, geometry, media, sampling)
+           for name in module.__all__]

@@ -30,6 +30,7 @@ from .forward import (
     compute_background_nd_map,
     load_nd_map,
     nd_map_from_system,
+    reciprocity_defect,
     save_nd_map,
 )
 from .geometry import BoundaryField, DiskMesh, build_disk_mesh, check_mesh_settings, fourier_modes
@@ -229,6 +230,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
                            "z": [coercivity["z"].real, coercivity["z"].imag]},
             "absorption": absorption,
         },
+        "diagnostics": {"symmetry_defect": {"measured": measured.symmetry_defect(),
+                                            "background": background.symmetry_defect()}},
         "files": [os.path.basename(measured_path), os.path.basename(background_path)],
     })
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
@@ -288,7 +291,9 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
         "cutoff": cfg.cutoff,
         "feasible_points": int(imap.feasible.sum()),
         "total_points": len(imap),
-        "diagnostics": sweep_diagnostics(imap, support_cutoff(imap, **cfg.cutoff)),
+        "diagnostics": {**sweep_diagnostics(imap, support_cutoff(imap, **cfg.cutoff)),
+                        "singular_values": data.singular_values.tolist(),
+                        "reciprocity_defect": reciprocity_defect(data.matrix)},
         "files": ["indicator.csv", "mask.csv", "indicator.pgm"],
     })
     return {"indicator": indicator_path, "mask": mask_path, "image": image_path,

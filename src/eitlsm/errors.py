@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+__all__ = ["ToolkitError", "ConfigurationError", "SolverError", "EstimationError"]
+
 
 class ToolkitError(Exception):
     """Base class for all toolkit-specific errors."""

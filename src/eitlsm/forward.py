@@ -45,8 +45,9 @@ class NdMap:
     """Neumann-to-Dirichlet map on zero-mean Fourier coefficients.
 
     ``matrix`` acts on coefficient vectors ordered n = -N..-1, 1..N and maps
-    smoothness -1/2 (currents) to +1/2 (traces). ``provenance`` is one of
-    ``analytic``, ``fem`` or ``noisy(level,seed)``.
+    smoothness -1/2 (currents) to +1/2 (traces). ``provenance`` is ``fem``
+    or ``noisy(level,seed)`` for the maps this package computes;
+    ``load_nd_map`` reads any tag.
     """
 
     matrix: np.ndarray
@@ -142,23 +143,11 @@ def _ring_strips(starts: np.ndarray, rows: np.ndarray, cols: np.ndarray, values:
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     """Assemble the P1 stiffness matrix with gamma frozen at centroids.
 
-    The mesh must be in the ring order of ``build_disk_mesh``. Coercivity is
-    checked on the admittance's values first, so an inclusion that no centroid
-    samples is judged too; assembly is refused when it fails, since the
+    Coercivity is checked on the admittance's values first, so an inclusion that no
+    centroid samples is judged too; assembly is refused when it fails, since the
     constrained system is then not guaranteed solvable (no Lax-Milgram bound).
     """
     verts, tris = mesh.vertices, mesh.triangles
-    nv, nb = mesh.n_vertices, mesh.n_boundary
-    # the first vertex of each ring, then nv: ring i of M = nb / 6 holds 6i vertices
-    starts = np.cumsum([0, 1] + [6 * i for i in range(1, nb // 6 + 1)])
-    if starts[-1] != nv:
-        raise ConfigurationError(f"DiskMesh with {nv} vertices, {nb} on the boundary, "
-                                 "is not in ring order")
-    apart = np.ptp(np.searchsorted(starts, tris, side="right"), axis=1) > 1
-    if apart.any():
-        raise ConfigurationError(f"DiskMesh triangle {np.argmax(apart)} spans non-adjacent rings")
-    if not np.array_equal(mesh.boundary, np.arange(starts[-2], nv)):
-        raise ConfigurationError("DiskMesh boundary is not its outer ring in vertex order")
     verdict = check_coercivity(admittance)
     if not verdict["holds"]:
         raise SolverError(
@@ -181,7 +170,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     )
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
-    strips = _ring_strips(starts, rows, cols, kloc.reshape(-1))
+    strips = _ring_strips(mesh.ring_starts, rows, cols, kloc.reshape(-1))
 
     ell = mesh.boundary_edge_lengths()
     system = FemSystem(mesh, strips, 0.5 * (ell + np.roll(ell, 1)))
@@ -206,20 +195,10 @@ def nd_map_from_system(system: FemSystem, N: int, load_rule: str = "trapezoid") 
     return NdMap(matrix=projector @ traces, N=N, provenance="fem")
 
 
-def compute_background_nd_map(mesh: DiskMesh | None, N: int,
-                              load_rule: str = "trapezoid") -> NdMap:
-    """Inclusion-free ND map.
-
-    With ``mesh=None`` returns the analytic diagonal 1/|n| (the separation
-    of variables solution on the disk); otherwise runs the FEM path with
-    gamma = I on the given mesh.
-    """
-    if mesh is None:
-        modes = fourier_modes(N)
-        matrix = np.diag(1.0 / np.abs(modes).astype(float)).astype(complex)
-        return NdMap(matrix=matrix, N=N, provenance="analytic")
+def compute_background_nd_map(mesh: DiskMesh, N: int) -> NdMap:
+    """Inclusion-free ND map: the FEM path with gamma = I on the given mesh."""
     background = AdmittanceField(InclusionGeometry(components=[]), [])
-    return compute_nd_map(mesh, background, N, load_rule=load_rule)
+    return compute_nd_map(mesh, background, N)
 
 
 def add_noise(nd: NdMap, level: float, seed: int) -> NdMap:

@@ -79,23 +79,65 @@ class BoundaryField:
 
 @dataclass(eq=False)
 class DiskMesh:
-    """Conforming triangulation of the unit disk.
+    """Ring triangulation of the unit disk, a function of ``h_target`` alone.
+
+    The M = ceil(1/h_target) rings, ring i at radius i/M, are numbered from
+    the centre (ring 0) outward. The triangulation is conforming; every
+    triangle is positively oriented, joins adjacent rings and has edges <= 1.5 * h_target.
 
     Fields
     ------
+    h_target : float in (0, 0.5] with M <= 576 (at most 10^6 vertices), the only
+        init field; construction sets the four below from it
     vertices : float array (nv, 2)
-    triangles : int array (nt, 3), positively oriented
-    boundary : int array (nb,), vertex indices on the unit circle ordered
-        by strictly increasing polar angle in [0, 2pi)
-    h_target : float, requested maximum edge length
+    triangles : int array (nt, 3)
+    ring_starts : int array (M + 2,), the first vertex of each ring, then nv
     boundary_angles : float array (nb,), polar angle in [0, 2pi) of each boundary vertex
     """
 
-    vertices: np.ndarray
-    triangles: np.ndarray
-    boundary: np.ndarray
     h_target: float
-    boundary_angles: np.ndarray
+
+    def __post_init__(self):
+        check_mesh_settings(self.h_target)
+        M = math.ceil(1.0 / self.h_target)
+        verts = [np.zeros((1, 2))]
+        ring_start = np.zeros(M + 1, dtype=int)
+        count = 1
+        for i in range(1, M + 1):
+            n_i = 6 * i
+            ring_start[i] = count
+            ang = 2.0 * np.pi * np.arange(n_i) / n_i
+            r = i / M
+            verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+            count += n_i
+        self.vertices = np.concatenate(verts)
+
+        tris = []
+        s1 = ring_start[1]
+        for j in range(6):
+            tris.append((0, s1 + j, s1 + (j + 1) % 6))
+        for i in range(1, M):
+            na, nb = 6 * i, 6 * (i + 1)
+            sa, sb = ring_start[i], ring_start[i + 1]
+            ia = ib = 0
+            while ia < na or ib < nb:
+                # advance whichever ring has the smaller next (unwrapped) angle
+                if ib >= nb or (ia < na and (ia + 1) * nb <= (ib + 1) * na):
+                    tris.append((sa + ia % na, sb + ib % nb, sa + (ia + 1) % na))
+                    ia += 1
+                else:
+                    tris.append((sa + ia % na, sb + ib % nb, sb + (ib + 1) % nb))
+                    ib += 1
+        self.triangles = np.array(tris, dtype=int)
+        self.ring_starts = np.append(ring_start, count)
+
+        x, y = self.vertices[self.boundary].T
+        self.boundary_angles = np.mod(np.arctan2(y, x), 2 * np.pi)
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Vertex indices of the outer ring, on the unit circle, in strictly increasing angle."""
+        return np.arange(self.ring_starts[-2], self.n_vertices)
 
     @property
     def n_vertices(self) -> int:
@@ -126,7 +168,7 @@ def check_order(N: int, nb: int, where: str = "") -> None:
 
 
 def check_mesh_settings(h_target: float, N: int | None = None, where: str = "") -> None:
-    """Refuse an ``h_target`` that ``build_disk_mesh`` cannot use and an ``N`` (if given) that
+    """Refuse an ``h_target`` that ``DiskMesh`` cannot use and an ``N`` (if given) that
     aliases on its boundary; messages name ``h_target`` or ``N`` after ``where``."""
     if not (0.0 < h_target <= 0.5):
         raise ConfigurationError(f"{where}h_target: must lie in (0, 0.5], got {h_target}")
@@ -139,53 +181,8 @@ def check_mesh_settings(h_target: float, N: int | None = None, where: str = "") 
 
 
 def build_disk_mesh(h_target: float) -> DiskMesh:
-    """Triangulate the unit disk with maximum edge length <= 1.5 * h_target.
-
-    Vertices sit on M = ceil(1/h_target) concentric rings, ring i holding
-    6i uniformly spaced vertices at radius i/M; annuli are zipped by angular
-    merge. All triangles are positively oriented and the triangulation is
-    conforming by construction.
-
-    Parameters
-    ----------
-    h_target : float
-        Requested edge scale in (0, 0.5], with M <= 576 (at most 10^6 vertices).
-    """
-    check_mesh_settings(h_target)
-    M = math.ceil(1.0 / h_target)
-    verts = [np.zeros((1, 2))]
-    ring_start = np.zeros(M + 1, dtype=int)
-    count = 1
-    for i in range(1, M + 1):
-        n_i = 6 * i
-        ring_start[i] = count
-        ang = 2.0 * np.pi * np.arange(n_i) / n_i
-        r = i / M
-        verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-        count += n_i
-    vertices = np.concatenate(verts)
-
-    tris = []
-    s1 = ring_start[1]
-    for j in range(6):
-        tris.append((0, s1 + j, s1 + (j + 1) % 6))
-    for i in range(1, M):
-        na, nb = 6 * i, 6 * (i + 1)
-        sa, sb = ring_start[i], ring_start[i + 1]
-        ia = ib = 0
-        while ia < na or ib < nb:
-            # advance whichever ring has the smaller next (unwrapped) angle
-            if ib >= nb or (ia < na and (ia + 1) * nb <= (ib + 1) * na):
-                tris.append((sa + ia % na, sb + ib % nb, sa + (ia + 1) % na))
-                ia += 1
-            else:
-                tris.append((sa + ia % na, sb + ib % nb, sb + (ib + 1) % nb))
-                ib += 1
-    triangles = np.array(tris, dtype=int)
-
-    boundary = ring_start[M] + np.arange(6 * M)
-    x, y = vertices[boundary].T
-    return DiskMesh(vertices, triangles, boundary, h_target, np.mod(np.arctan2(y, x), 2 * np.pi))
+    """Triangulate the unit disk at edge scale ``h_target``: ``DiskMesh(h_target)``."""
+    return DiskMesh(h_target)
 
 
 def fourier_projector(mesh: DiskMesh, N: int) -> np.ndarray:

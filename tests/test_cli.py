@@ -178,6 +178,8 @@ def test_simulate_zero_perturbation(tmp_path, capsys):
     assert manifest["mode"] == "simulate"
     assert manifest["assumptions"]["coercivity"]["holds"]
     assert manifest["N"] == 6
+    defects = manifest["diagnostics"]["symmetry_defect"]
+    assert max(defects["measured"], defects["background"]) < 1e-10
 
 
 def test_simulate_deterministic(tmp_path):
@@ -294,6 +296,9 @@ def test_reconstruct_outputs(small_run):
     cut = diagnostics["cutoff"]
     assert cut["value"] == pytest.approx(70.0 * diagnostics["indicator"]["min"])
     assert cut["gap_below"] >= 0.0 and cut["gap_above"] > 0.0
+    spectrum = diagnostics["singular_values"]  # weighted, of the measured - background difference
+    assert len(spectrum) == 2 * manifest["N"] and (np.diff(spectrum) <= 0).all()
+    assert diagnostics["reciprocity_defect"] < 1e-10
 
 
 def test_reconstruct_rerun_identical(small_run):

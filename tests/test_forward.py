@@ -6,7 +6,6 @@ from eitlsm import (
     BoundaryField,
     ConfigurationError,
     Disk,
-    DiskMesh,
     FemSystem,
     InclusionGeometry,
     SolverError,
@@ -137,30 +136,6 @@ def test_condensed_solve_matches_full_bordered_solve(monkeypatch, aniso_field, r
     assert np.linalg.norm(traces - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def renumbered(mesh, perm):
-    """The same mesh with vertex k taken from vertex perm[k]."""
-    new_index = np.argsort(perm)
-    return DiskMesh(mesh.vertices[perm], new_index[mesh.triangles], new_index[mesh.boundary],
-                    mesh.h_target, mesh.boundary_angles)
-
-
-def test_mesh_not_in_ring_order_refused():
-    mesh = build_disk_mesh(0.2)
-    field = background_field()
-    shuffled = renumbered(mesh, np.random.default_rng(1).permutation(mesh.n_vertices))
-    with pytest.raises(ConfigurationError, match="DiskMesh triangle .* spans non-adjacent rings"):
-        assemble_system(shuffled, field)
-    short = DiskMesh(mesh.vertices[:-1], mesh.triangles, mesh.boundary[:-1], mesh.h_target,
-                     mesh.boundary_angles[:-1])
-    with pytest.raises(ConfigurationError, match="DiskMesh with 90 vertices, 29 on the boundary"):
-        assemble_system(short, field)
-    # the outer ring, but listed from its second vertex
-    rotated = DiskMesh(mesh.vertices, mesh.triangles, np.roll(mesh.boundary, -1), mesh.h_target,
-                       np.roll(mesh.boundary_angles, -1))
-    with pytest.raises(ConfigurationError, match="DiskMesh boundary is not its outer ring"):
-        assemble_system(rotated, field)
-
-
 def test_singular_blocks_raise_solver_error():
     mesh = build_disk_mesh(0.2)  # rings of 1, 6, ..., 30 vertices
     sizes = [1] + [6 * i for i in range(1, 6)]
@@ -248,16 +223,6 @@ def test_nd_map_zero_perturbation_matches_background(mesh05):
     nd = compute_nd_map(mesh05, empty, 8)
     nd0 = compute_background_nd_map(mesh05, 8)
     assert np.abs(nd.matrix - nd0.matrix).max() <= 1e-10
-
-
-def test_background_analytic_diagonal():
-    nd = compute_background_nd_map(None, 4)
-    modes = fourier_modes(4)
-    assert np.array_equal(nd.matrix, np.diag(1.0 / np.abs(modes).astype(float)))
-    assert nd.provenance == "analytic"
-    # cos current -> cos voltage at mode 1
-    out = nd.matrix @ cos_field(4, 1).coeffs
-    assert np.abs(out - cos_field(4, 1).coeffs).max() <= 1e-15
 
 
 def test_background_fem_matches_analytic(background_nd05):

@@ -50,12 +50,21 @@ def test_mesh_invariants(h):
     assert (np.diff(mesh.boundary_angles) > 0).all()
     assert mesh.boundary_angles[0] >= 0.0 and mesh.boundary_angles[-1] < 2 * np.pi
     assert max_edge(mesh) <= 1.5 * h
+    # ring layout: ring i of M holds 6i vertices, the centre is ring 0
+    starts = mesh.ring_starts
+    assert starts[-1] == mesh.n_vertices
+    assert np.array_equal(np.diff(starts), [1] + [6 * i for i in range(1, len(starts) - 1)])
+    ring = np.searchsorted(starts, mesh.triangles, side="right") - 1
+    assert (np.ptp(ring, axis=1) == 1).all()  # every triangle joins two adjacent rings
+    # the boundary is the outer ring, in vertex order
+    on_boundary_edges = set().union(*(e for e, c in counts.items() if c == 1))
+    assert np.array_equal(mesh.boundary, sorted(on_boundary_edges))
 
 
 def test_mesh_holds_its_boundary_angles():
-    names = [f.name for f in dataclasses.fields(DiskMesh)]
-    assert names == ["vertices", "triangles", "boundary", "h_target", "boundary_angles"]
-    mesh = build_disk_mesh(0.2)
+    # a mesh is a value of h_target: nothing else can be handed to the constructor
+    assert [f.name for f in dataclasses.fields(DiskMesh) if f.init] == ["h_target"]
+    mesh = DiskMesh(0.2)
     bp = mesh.vertices[mesh.boundary]
     expected = np.mod(np.arctan2(bp[:, 1], bp[:, 0]), 2 * np.pi)
     assert mesh.boundary_angles.tobytes() == expected.tobytes()

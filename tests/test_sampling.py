@@ -9,6 +9,7 @@ from eitlsm import (
     BoundaryField,
     ConfigurationError,
     EstimationError,
+    NdMap,
     RelativeData,
     SingularTraceComputer,
     estimate_support,
@@ -56,9 +57,7 @@ def test_relative_data_zero_difference(background_nd05):
 
 
 def test_relative_data_dimension_mismatch(background_nd05):
-    from eitlsm import compute_background_nd_map
-
-    other = compute_background_nd_map(None, 8)
+    other = NdMap(np.eye(16), 8, "fem")
     with pytest.raises(ConfigurationError):
         make_relative_data(background_nd05, other)
 

@@ -231,10 +231,9 @@ def save_nd_map(nd: NdMap, path) -> None:
     one row per line, entries as ``re im`` pairs at 17 significant digits
     (bit-exact round trip).
     """
-    with open(path, "w") as fh:
-        fh.write(f"ndmap N {nd.N} provenance {nd.provenance}\n")
-        for row in nd.matrix:
-            fh.write(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row) + "\n")
+    with open(path, "w", newline="") as fh:  # a handle: savetxt gzips a path ending in .gz
+        np.savetxt(fh, np.ascontiguousarray(nd.matrix).view(float), fmt="%.17g",
+                   header=f"ndmap N {nd.N} provenance {nd.provenance}", comments="")
 
 
 def load_nd_map(path) -> NdMap:

@@ -22,13 +22,12 @@ is genuinely open which makes the better cut-off.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dipole import AuxCircle, SingularTraceComputer, disk_dipole_traces, layer_current_matrix
+from .dipole import SingularTraceComputer, disk_dipole_traces
 from .errors import ConfigurationError, EstimationError
 from .forward import NdMap
 from .geometry import BoundaryField, DiskMesh, fourier_modes
@@ -37,7 +36,6 @@ __all__ = [
     "RelativeData",
     "MorozovResult",
     "IndicatorMap",
-    "DensityResult",
     "make_relative_data",
     "tikhonov_solve",
     "morozov_alpha",
@@ -48,7 +46,6 @@ __all__ = [
     "estimate_support",
     "support_cutoff",
     "sweep_diagnostics",
-    "reconstruct_via_density",
     "write_indicator_csv",
     "write_mask_csv",
     "write_indicator_pgm",
@@ -307,7 +304,6 @@ class IndicatorMap:
     points: np.ndarray  # (P, 2)
     indicator: np.ndarray  # (P,)  direction-combined ||psi||_{-1/2}
     alpha: np.ndarray  # (P,)  selected regularization parameter
-    feasible: np.ndarray  # (P,) bool
     residual: np.ndarray  # (P,) achieved residual
     delta: np.ndarray  # (P,) per-point discrepancy level
     spacing: float
@@ -317,6 +313,10 @@ class IndicatorMap:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.flag == "ok"
 
 
 def grid_points(spacing: float, r_max: float) -> np.ndarray:
@@ -385,7 +385,6 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
         points=pts,
         indicator=rows.indicator[best],
         alpha=rows.alpha[best],
-        feasible=rows.flag[best] == "ok",
         residual=rows.residual[best],
         delta=delta[best],
         spacing=spacing,
@@ -447,51 +446,17 @@ def sweep_diagnostics(imap: IndicatorMap, cutoff: float) -> dict:
     }
 
 
-@dataclass(eq=False)
-class DensityResult:
-    omega: np.ndarray  # density samples on the auxiliary circle
-    psi: BoundaryField  # induced boundary current L omega (smoothness -1/2)
-    residual: float  # ||A L omega - phi||_{1/2}
-    omega_norm: float  # ||omega||_{L2(dOmega)}
-
-
-def reconstruct_via_density(data: RelativeData, aux: AuxCircle, rhs: BoundaryField,
-                            alpha: float) -> DensityResult:
-    """Tikhonov solve parameterized through the auxiliary-circle density.
-
-    Minimizes ||A L omega - phi||_{1/2}^2 + alpha ||omega||_{L2(dOmega)}^2
-    over the density samples; the induced current L omega, with L the
-    quadrature form ``layer_current_matrix``, plays the role of psi.
-    """
-    if alpha <= 0.0:
-        raise ConfigurationError(f"regularization parameter must be positive, got {alpha}")
-    lmat = layer_current_matrix(aux, data.N)
-    phit = data.weighted_rhs(rhs)
-    design = (data.weights[:, None] * data.matrix) @ lmat  # omega -> weighted residual space
-    gram = design.conj().T @ design + (alpha * aux.weight) * np.eye(aux.count)
-    omega = np.linalg.solve(gram, design.conj().T @ phit)
-    residual = float(np.linalg.norm(design @ omega - phit))
-    psi = BoundaryField(lmat @ omega, data.N, smoothness=-0.5)
-    return DensityResult(
-        omega=omega,
-        psi=psi,
-        residual=residual,
-        omega_norm=float(np.linalg.norm(omega) * math.sqrt(aux.weight)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Output files
 
 
 def _write_csv(path, points: np.ndarray, columns: dict) -> None:
-    """CSV of x, y and the named per-point columns: floats at 17 significant
-    digits, booleans as 0/1."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", *columns])
-        for row in zip(points[:, 0], points[:, 1], *columns.values()):
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else int(v) for v in row])
+    """CSV of x, y and the named per-point columns, rows ending in \\r\\n as
+    the csv module writes them: floats at 17 significant digits, booleans as
+    0/1 (``%.17g`` of 0.0 and 1.0)."""
+    with open(path, "w", newline="") as fh:  # a handle: savetxt gzips a path ending in .gz
+        np.savetxt(fh, np.column_stack([points, *columns.values()]), fmt="%.17g", delimiter=",",
+                   header=",".join(["x", "y", *columns]), comments="", newline="\r\n")
 
 
 def write_indicator_csv(imap: IndicatorMap, path) -> None:
@@ -522,7 +487,5 @@ def write_indicator_pgm(imap: IndicatorMap, path) -> None:
         lo, hi = logs.min(), logs.max()
         col, row = np.rint(imap.points[shown] / spacing).astype(int).T
         img[k - row, col + k] = 1 + np.rint((logs - lo) / (hi - lo if hi > lo else 1.0) * 254)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{size} {size}\n255\n")
-        for row in img:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, img, fmt="%d", header=f"P2\n{size} {size}\n255", comments="")

@@ -333,6 +333,16 @@ def test_nd_file_round_trip(tmp_path, concentric_nd05):
     assert back.provenance == noisy.provenance
 
 
+def test_nd_file_gz_name_is_plain_text(tmp_path, concentric_nd05):
+    # the file name is user-set: a .gz suffix must not switch the format to gzip
+    noisy = add_noise(concentric_nd05, 0.037, 99)
+    path = tmp_path / "run" / "m.nd.gz"
+    path.parent.mkdir()
+    save_nd_map(noisy, path)
+    assert path.read_bytes().startswith(f"ndmap N {noisy.N}".encode())
+    assert np.array_equal(load_nd_map(path).matrix, noisy.matrix)
+
+
 def test_nd_file_malformed_header(tmp_path):
     path = tmp_path / "bad.nd"
     path.write_text("not an ndmap\n")

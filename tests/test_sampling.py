@@ -1,14 +1,14 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from eitlsm import (
-    AuxCircle,
     BoundaryField,
     ConfigurationError,
     EstimationError,
+    IndicatorMap,
     NdMap,
     RelativeData,
     SingularTraceComputer,
@@ -16,10 +16,8 @@ from eitlsm import (
     fourier_modes,
     grid_points,
     indicator_map,
-    layer_current_multipliers,
     make_relative_data,
     morozov_alpha,
-    reconstruct_via_density,
     tikhonov_solve,
     write_indicator_csv,
     write_indicator_pgm,
@@ -353,8 +351,6 @@ def test_indicator_dichotomy_small(small_sweep):
 
 def test_estimate_support_constant_field(small_sweep):
     _, _, imap = small_sweep
-    import dataclasses
-
     flat = dataclasses.replace(imap, indicator=np.ones(len(imap)))
     mask = estimate_support(flat, rule="multiplier", c=3.0)
     assert mask.all()
@@ -379,52 +375,6 @@ def test_estimate_support_rules(small_sweep):
         estimate_support(imap, rule="median")
     with pytest.raises(ConfigurationError):
         estimate_support(imap, rule="quantile", q=1.5)
-
-
-# ---------------------------------------------------------------------------
-# density-parameterized reconstruction
-
-
-def test_density_zero_rhs():
-    data = analytic_concentric_data()
-    aux = AuxCircle(radius=2.0, count=64)
-    zero = BoundaryField(np.zeros(2 * data.N, dtype=complex), data.N, 0.5)
-    out = reconstruct_via_density(data, aux, zero, alpha=1e-4)
-    assert np.abs(out.omega).max() == 0.0
-    assert out.residual == 0.0
-
-
-def test_density_residual_close_to_direct(small_sweep):
-    data, computer, _ = small_sweep
-    aux = AuxCircle(radius=2.0, count=128)
-    alpha = 1e-3
-    for y in ((0.2, 0.0), (0.3, 0.2)):
-        phi = BoundaryField(computer.trace_batch([y], [(1.0, 0.0)])[0], data.N, 0.5)
-        _, direct = _solve_weighted(data, data.weighted_rhs(phi), alpha)
-        dens = reconstruct_via_density(data, aux, phi, alpha)
-        assert dens.residual <= 10.0 * direct
-        assert dens.psi.smoothness == -0.5
-
-
-def test_density_fourier_form_matches_quadrature(small_sweep):
-    data, computer, _ = small_sweep
-    aux = AuxCircle(radius=2.0, count=128)
-    phi = BoundaryField(computer.trace_batch([(0.1, 0.3)], [(0.0, 1.0)])[0], data.N, 0.5)
-    dens = reconstruct_via_density(data, aux, phi, 1e-3)
-    # the current the quadrature operator induces equals the closed Fourier form's
-    closed = layer_current_multipliers(aux, data.N) @ dens.omega
-    assert np.abs(dens.psi.coeffs - closed).max() <= 1e-12 * np.abs(closed).max()
-
-
-def test_density_norm_tracks_indicator(small_sweep):
-    data, computer, imap = small_sweep
-    aux = AuxCircle(radius=2.0, count=128)
-    norms = []
-    for pt in imap.points:
-        phi = BoundaryField(computer.trace_batch([pt], [(1.0, 0.0)])[0], data.N, 0.5)
-        norms.append(reconstruct_via_density(data, aux, phi, 1e-6).omega_norm)
-    rho = scipy.stats.spearmanr(imap.indicator, norms).statistic
-    assert rho >= 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +407,67 @@ def test_csv_and_pgm_outputs(tmp_path, small_sweep):
     assert len(lines) == 3 + size
     values = [int(v) for line in lines[3:] for v in line.split()]
     assert max(values) <= 255 and min(values) >= 0
+
+
+def hand_map(flag, **columns):
+    """An IndicatorMap on the 3 x 3 lattice of pitch 0.1, with zero residuals."""
+    n = len(flag)
+    return IndicatorMap(residual=np.zeros(n), delta=np.zeros(n), spacing=0.1, r_max=0.15,
+                        flag=np.asarray(flag, dtype="<U15"), steps=np.zeros(n, dtype=int),
+                        **columns)
+
+
+def test_output_bytes_are_fixed(tmp_path):
+    # one row per flag, alpha at inf, 0, the least subnormal and an ordinary value,
+    # and a signed zero coordinate
+    imap = hand_map(
+        ["ok", "infeasible-low", "infeasible-high", "not-converged", "ok"],
+        points=np.array([[-0.0, 0.1], [0.1, 0.0], [0.0, -0.1], [-0.1, -0.1], [0.1, 0.1]]),
+        indicator=np.array([2.5, 7.0, 0.0, 1e300, 0.1 + 0.2]),
+        alpha=np.array([1.25e-3, 0.0, np.inf, 5e-324, 1 / 3]),
+    )
+    empty = hand_map([], points=np.zeros((0, 2)), indicator=np.zeros(0), alpha=np.zeros(0))
+    mask = np.array([True, False, False, False, False])
+    expected = [
+        (imap, mask,
+         b"x,y,indicator,alpha,feasible\r\n"
+         b"-0,0.10000000000000001,2.5,0.00125,1\r\n"
+         b"0.10000000000000001,0,7,0,0\r\n"
+         b"0,-0.10000000000000001,0,inf,0\r\n"
+         b"-0.10000000000000001,-0.10000000000000001,1.0000000000000001e+300,"
+         b"4.9406564584124654e-324,0\r\n"
+         b"0.10000000000000001,0.10000000000000001,0.30000000000000004,0.33333333333333331,1\r\n",
+         b"x,y,inside\r\n"
+         b"-0,0.10000000000000001,1\r\n"
+         b"0.10000000000000001,0,0\r\n"
+         b"0,-0.10000000000000001,0\r\n"
+         b"-0.10000000000000001,-0.10000000000000001,0\r\n"
+         b"0.10000000000000001,0.10000000000000001,0\r\n",
+         b"P2\n3 3\n255\n0 255 1\n0 0 0\n0 0 0\n"),
+        (empty, np.zeros(0, dtype=bool),
+         b"x,y,indicator,alpha,feasible\r\n",
+         b"x,y,inside\r\n",
+         b"P2\n3 3\n255\n0 0 0\n0 0 0\n0 0 0\n"),
+    ]
+    for m, inside, indicator_bytes, mask_bytes, image_bytes in expected:
+        write_indicator_csv(m, tmp_path / "i.csv")
+        write_mask_csv(m, inside, tmp_path / "m.csv")
+        write_indicator_pgm(m, tmp_path / "i.pgm")
+        assert (tmp_path / "i.csv").read_bytes() == indicator_bytes
+        assert (tmp_path / "m.csv").read_bytes() == mask_bytes
+        assert (tmp_path / "i.pgm").read_bytes() == image_bytes
+
+
+def test_feasible_follows_flag(tmp_path, small_sweep):
+    _, _, imap = small_sweep
+    k = int(np.argmin(imap.indicator))  # inside the support estimate while "ok"
+    assert imap.feasible[k] and estimate_support(imap)[k]
+    flag = imap.flag.copy()
+    flag[k] = "not-converged"
+    changed = dataclasses.replace(imap, flag=flag)
+    assert np.array_equal(changed.feasible, flag == "ok")
+    assert not estimate_support(changed)[k]
+    write_indicator_csv(changed, tmp_path / "i.csv")
+    with open(tmp_path / "i.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["feasible"] for r in rows] == ["1" if ok else "0" for ok in flag == "ok"]

@@ -231,7 +231,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
             "absorption": absorption,
         },
         "diagnostics": {"symmetry_defect": {"measured": measured.symmetry_defect(),
-                                            "background": background.symmetry_defect()}},
+                                            "background": background.symmetry_defect()},
+                        "fem": {"rings": len(mesh.ring_starts) - 2, "dense_rings": system.dense_rings}},
         "files": [os.path.basename(measured_path), os.path.basename(background_path)],
     })
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
@@ -266,6 +267,9 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     measured_path = os.path.join(out_dir, cfg.measured_path)
     background_path = os.path.join(out_dir, cfg.background_path)
     measured, background = load_nd_map(measured_path), load_nd_map(background_path)
+    if np.array_equal(measured.matrix, background.matrix):
+        raise ConfigurationError(f"{measured_path} and {background_path} hold the same ND map: "
+                                 "with no inclusion and no noise there is nothing to locate")
     try:
         data = make_relative_data(measured, background)
     except ConfigurationError as exc:

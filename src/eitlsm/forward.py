@@ -5,9 +5,10 @@ with linear triangles and gamma frozen at each centroid; the zero-mean trace
 constraint is a single Lagrange multiplier row, which keeps the system
 complex symmetric. ND maps are stored as (2N)x(2N) complex matrices in the
 zero-mean Fourier basis (column n = Fourier trace of the solution driven by
-the current exp(i n theta)). Every solve goes through one boundary operator,
-``FemSystem.boundary_solve``: nodal boundary currents in, nodal boundary
-traces out, any number of columns at once.
+the current exp(i n theta)). ``FemSystem`` condenses the ring mesh onto its
+boundary, densely where gamma varies and in six Fourier blocks per ring where
+gamma = I; every solve goes through its one boundary operator,
+``boundary_solve``: nodal currents in, nodal traces out, any number of columns.
 
 Boundary loads use the periodic trapezoid quadrature paired with the
 trapezoid trace projection; on the uniformly spaced boundary this pairing
@@ -78,19 +79,61 @@ def reciprocity_defect(matrix: np.ndarray) -> float:
 class FemSystem:
     """Neumann system on a ring-ordered disk mesh, condensed onto its boundary.
 
-    ``strips`` yields the lower block rows [L_i | D_i] of the complex-symmetric
-    stiffness matrix from the centre outward; S <- D_i - L_i S^-1 L_i^T
-    eliminates them, and the boundary Schur complement S bordered by the mean
-    constraint is the one matrix every boundary solve uses. It is immutable
-    and safe to share read-only; ``assemble_system`` records ``coercivity``.
+    ``entries``, the complex-symmetric stiffness matrix as COO (rows, cols,
+    values), is block tridiagonal in the M rings: lower block rows [L_i | D_i].
+    Rings 0..a (a = ``dense_rings`` >= 1) are eliminated densely,
+    S <- D_i - L_i S^-1 L_i^T. Outside ring a gamma must be I: every block then
+    commutes with the sixth turn (ring i, slot j) -> (i, j + i mod 6i), and the
+    unitary DFT T over a ring's six sectors splits it into six blocks, read off
+    its sector-0 rows. Rings a+1..M fold into a two-port between ring a and the
+    current ring, P <- P - Q R^-1 Q^H, Q <- -Q R^-1 L^H, R <- D - L R^-1 L^H,
+    joined once: S_M = R - Q^H (T S_a T^H + P)^-1 Q. S_M bordered by the mean
+    constraint is the one matrix every boundary solve uses. The system is
+    immutable and safe to share read-only; ``assemble_system`` records ``coercivity``.
     """
 
-    def __init__(self, mesh: DiskMesh, strips, constraint: np.ndarray):
+    def __init__(self, mesh: DiskMesh, entries, constraint: np.ndarray, dense_rings: int):
         self.mesh = mesh
+        self.dense_rings = a = dense_rings
+        starts = mesh.ring_starts
+        M = len(starts) - 2
+        order = np.argsort(entries[0], kind="stable")
+        rows, cols, values = (part[order] for part in entries)
+
+        def strip(ring: int, height: int) -> np.ndarray:
+            """The first ``height`` rows of ring's lower block row [L | D]."""
+            lo, hi = np.searchsorted(rows, [starts[ring], starts[ring] + height])
+            # the upper block is L^T, not L^H
+            keep = lo + np.flatnonzero(cols[lo:hi] < starts[ring + 1])
+            first = starts[max(ring - 1, 0)]
+            out = np.zeros((height, starts[ring + 1] - first), dtype=complex)
+            np.add.at(out, (rows[keep] - starts[ring], cols[keep] - first), values[keep])
+            return out
+
         schur = np.zeros((0, 0), dtype=complex)
-        for ring, strip in enumerate(strips):
-            lower, diag = np.hsplit(strip, [len(schur)])
+        for ring in range(a + 1):
+            lower, diag = np.hsplit(strip(ring, starts[ring + 1] - starts[ring]), [len(schur)])
             schur = diag - lower @ _solve(schur, lower.T, f"Schur complement of ring {ring - 1}")
+
+        port = np.zeros((6, a, a), dtype=complex)
+        for ring in range(a + 1, M + 1):
+            lower, diag = np.hsplit(strip(ring, ring), [6 * (ring - 1)])
+            # C_d couples sector 0 to sector d; Fourier block m is sum_d C_d exp(2 pi i m d / 6)
+            lower, diag = (np.fft.ifft(part.reshape(ring, 6, -1), axis=1, norm="forward")
+                           .swapaxes(0, 1) for part in (lower, diag))
+            if ring == a + 1:
+                coupling, own = lower.conj().swapaxes(1, 2), diag
+                continue
+            x = _solve(own, np.concatenate([coupling, lower], axis=1).conj().swapaxes(1, 2),
+                       f"Schur complement of ring {ring - 1}")
+            port = port - coupling @ x[..., :a]
+            coupling, own = -coupling @ x[..., a:], diag - lower @ x[..., a:]
+        if a < M:
+            joined = _sector_dft(schur) + _block_diag(port)
+            far = _solve(joined, _block_diag(coupling),
+                         f"Schur complement of ring {a} with the annulus")
+            fourier = _block_diag(own) - _block_diag(coupling.conj().swapaxes(1, 2)) @ far
+            schur = _sector_dft(fourier, inverse=True)
         self._bordered = np.block([[schur, constraint[:, None]], [constraint, 0.0]])
 
     def boundary_solve(self, currents, rule: str = "trapezoid") -> np.ndarray:
@@ -124,20 +167,22 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError:
+        if matrix.ndim == 3:  # six Fourier blocks: name the first with a zero pivot
+            what += f", Fourier block {np.argmin(abs(np.linalg.slogdet(matrix)[0]))}"
         raise SolverError(f"constrained Neumann system is singular: {what}") from None
 
 
-def _ring_strips(starts: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
-    """Yield the lower block rows [L_i | D_i]: ring i's rows, the columns of rings i-1 and i."""
-    ring = np.searchsorted(starts, rows, side="right") - 1
-    for i in range(len(starts) - 1):
-        first = starts[max(i - 1, 0)]
-        shape = (starts[i + 1] - starts[i], starts[i + 1] - first)
-        part = (ring == i) & (cols < starts[i + 1])  # the upper block is L_i^T, not L_i^H
-        position = (rows[part] - starts[i]) * shape[1] + cols[part] - first
-        real = np.bincount(position, values[part].real, shape[0] * shape[1])
-        imag = np.bincount(position, values[part].imag, shape[0] * shape[1])
-        yield (real + 1j * imag).reshape(shape)
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The (6p, 6q) matrix with the six (p, q) ``blocks`` on its diagonal."""
+    return (np.eye(6)[:, None, :, None] * blocks[:, :, None, :]).reshape(6 * blocks.shape[1], -1)
+
+
+def _sector_dft(matrix: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """T X T^H for X on one ring, T the unitary DFT over its six sectors; T^H X T if ``inverse``."""
+    n = len(matrix)
+    left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
+    blocks = left(matrix.reshape(6, n // 6, 6, n // 6), axis=0, norm="ortho")
+    return right(blocks, axis=2, norm="ortho").reshape(n, n)
 
 
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
@@ -170,10 +215,13 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     )
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
-    strips = _ring_strips(mesh.ring_starts, rows, cols, kloc.reshape(-1))
+    # dense out to the outermost ring that a triangle with gamma != I touches, at least ring 1
+    outermost = tris[(gam != np.eye(2)).any(axis=(1, 2))].max(initial=mesh.ring_starts[1])
+    dense_rings = int(np.searchsorted(mesh.ring_starts, outermost, side="right") - 1)
 
     ell = mesh.boundary_edge_lengths()
-    system = FemSystem(mesh, strips, 0.5 * (ell + np.roll(ell, 1)))
+    constraint = 0.5 * (ell + np.roll(ell, 1))
+    system = FemSystem(mesh, (rows, cols, kloc.reshape(-1)), constraint, dense_rings)
     system.coercivity = verdict
     return system
 

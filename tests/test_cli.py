@@ -180,6 +180,8 @@ def test_simulate_zero_perturbation(tmp_path, capsys):
     assert manifest["N"] == 6
     defects = manifest["diagnostics"]["symmetry_defect"]
     assert max(defects["measured"], defects["background"]) < 1e-10
+    # gamma = I everywhere: only the centre and ring 1 are eliminated densely
+    assert manifest["diagnostics"]["fem"] == {"rings": 10, "dense_rings": 1}
 
 
 def test_simulate_deterministic(tmp_path):
@@ -194,6 +196,9 @@ def test_simulate_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     measured = load_nd_map(out1 / "measured.nd")
     assert measured.provenance == "noisy(0.01,42)"
+    # the disk reaches radius 0.55: triangles with gamma != I touch ring 6 of 10, at radius 0.6
+    manifest = json.loads((out1 / "simulate_manifest.json").read_text())
+    assert manifest["diagnostics"]["fem"] == {"rings": 10, "dense_rings": 6}
 
 
 def test_simulate_seed_override(tmp_path):
@@ -404,6 +409,18 @@ def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):
         (out2 / n).write_bytes((out / n).read_bytes())
     assert main(["reconstruct", "--config", cfg, "--out", str(out2)]) == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_default_run_refuses_identical_maps(tmp_path, capsys, monkeypatch):
+    # no --config: the default scenario has no inclusion, so the two maps are equal
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--out", "run"]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert os.path.join("run", "measured.nd") in err and os.path.join("run", "background.nd") in err
+    assert not list((tmp_path / "run").glob("indicator*"))
 
 
 def test_reconstruct_missing_data_files(tmp_path, capsys):

@@ -14,7 +14,6 @@ from eitlsm import (
     build_disk_mesh,
     compute_background_nd_map,
     compute_nd_map,
-    forward,
     fourier_modes,
     load_nd_map,
     parse_scenario,
@@ -22,7 +21,7 @@ from eitlsm import (
     save_nd_map,
     trace_to_fourier,
 )
-from conftest import two_phase_diagonal
+from conftest import ANISO_DOC, two_phase_diagonal
 
 
 def background_field():
@@ -41,40 +40,36 @@ def cos_field(N, n):
 # assembly
 
 
-def ring_blocks(monkeypatch, mesh, field):
-    """Assemble, recording the lower block rows [L_i | D_i] the ring elimination consumed."""
-    seen = []
-    original = forward._ring_strips
-
-    def recording(*args):
-        for strip in original(*args):
-            seen.append(strip)
-            yield strip
-
-    monkeypatch.setattr(forward, "_ring_strips", recording)
-    return assemble_system(mesh, field), seen
-
-
-def rebuilt_stiffness(strips):
-    """The full matrix from the ring blocks: D_i on the diagonal, L_i below it, L_i^T above."""
-    nv = sum(len(strip) for strip in strips)
-    K = np.zeros((nv, nv), dtype=complex)
-    start = prev = 0
-    for strip in strips:
-        rows = slice(start, start + len(strip))
-        K[rows, start - prev:rows.stop] = strip
-        K[start - prev:start, rows] = strip[:, :prev].T
-        start, prev = rows.stop, len(strip)
+def full_stiffness(mesh, field):
+    """Dense P1 stiffness matrix with gamma frozen at centroids, summed element by element."""
+    p = mesh.vertices[mesh.triangles]
+    # grad phi_i is the edge opposite vertex i turned by 90 degrees, over twice the area
+    edges = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    area = 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
+    grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2 * area[:, None, None])
+    gamma = field.evaluate_batch(p.mean(axis=1))
+    local = area[:, None, None] * np.einsum("tia,tab,tjb->tij", grads, gamma, grads)
+    K = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
+    np.add.at(K, (mesh.triangles[:, :, None], mesh.triangles[:, None, :]), local)
     return K
 
 
-def test_stiffness_constant_nullspace_and_symmetry(monkeypatch, aniso_field):
+def dense_bordered(mesh, field):
+    """The bordered boundary matrix by dense elimination of every interior vertex at once."""
+    K = full_stiffness(mesh, field)
+    inner, bnd = np.arange(mesh.boundary[0]), mesh.boundary
+    schur = K[np.ix_(bnd, bnd)] - K[np.ix_(bnd, inner)] @ np.linalg.solve(K[np.ix_(inner, inner)],
+                                                                          K[np.ix_(inner, bnd)])
+    ell = mesh.boundary_edge_lengths()
+    constraint = 0.5 * (ell + np.roll(ell, 1))
+    return np.block([[schur, constraint[:, None]], [constraint, 0.0]])
+
+
+def test_stiffness_constant_nullspace_and_symmetry(aniso_field):
     mesh = build_disk_mesh(0.1)
-    _, strips = ring_blocks(monkeypatch, mesh, aniso_field)
-    K = rebuilt_stiffness(strips)
+    K = full_stiffness(mesh, aniso_field)
     assert K.shape == (mesh.n_vertices,) * 2
-    # constants in the null space of the unconstrained Neumann matrix: the
-    # upper blocks L_i^T are the true ones only if the matrix is symmetric
+    # constants in the null space of the unconstrained Neumann matrix
     ones = np.ones(mesh.n_vertices)
     assert np.abs(K @ ones).max() <= 1e-12
     # complex symmetric (not Hermitian) for symmetric gamma
@@ -87,12 +82,11 @@ def _cross2(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def test_identity_admittance_gives_laplace_stiffness(monkeypatch):
+def test_identity_admittance_gives_laplace_stiffness():
     mesh = build_disk_mesh(0.2)
-    _, strips = ring_blocks(monkeypatch, mesh, background_field())
     # cotangent-formula oracle on a few random triangles
     rng = np.random.default_rng(0)
-    K = rebuilt_stiffness(strips)
+    K = full_stiffness(mesh, background_field())
     for _ in range(10):
         t = mesh.triangles[rng.integers(len(mesh.triangles))]
         p = mesh.vertices[t]
@@ -112,13 +106,13 @@ def test_identity_admittance_gives_laplace_stiffness(monkeypatch):
 
 
 @pytest.mark.parametrize("rule", ["trapezoid", "galerkin"])
-def test_condensed_solve_matches_full_bordered_solve(monkeypatch, aniso_field, rule):
+def test_condensed_solve_matches_full_bordered_solve(aniso_field, rule):
     mesh = build_disk_mesh(0.1)
-    system, strips = ring_blocks(monkeypatch, mesh, aniso_field)
+    system = assemble_system(mesh, aniso_field)
     nv, nb, bnd = mesh.n_vertices, mesh.n_boundary, mesh.boundary
     ell = mesh.boundary_edge_lengths()
     full = np.zeros((nv + 1, nv + 1), dtype=complex)
-    full[:nv, :nv] = rebuilt_stiffness(strips)
+    full[:nv, :nv] = full_stiffness(mesh, aniso_field)
     full[bnd, nv] = full[nv, bnd] = 0.5 * (ell + np.roll(ell, 1))
     # load: trapezoid weights in angle, or the exact P1 mass of the boundary edges
     if rule == "trapezoid":
@@ -136,17 +130,60 @@ def test_condensed_solve_matches_full_bordered_solve(monkeypatch, aniso_field, r
     assert np.linalg.norm(traces - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+# gamma = 3 I on a disk whose triangles reach the boundary ring, and on a small centred disk
+REACHING_DOC = {"inclusions": [{"shape": "disk", "center": [0.5, 0.0], "radius": 0.49,
+                                "h": [[2.0, 0.0], [0.0, 2.0]]}]}
+CENTRED_DOC = {"inclusions": [{"shape": "disk", "center": [0.0, 0.0], "radius": 0.15,
+                               "h": [[2.0, 0.0], [0.0, 2.0]]}]}
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05])
+@pytest.mark.parametrize("doc", [{"inclusions": []}, ANISO_DOC, REACHING_DOC, CENTRED_DOC],
+                         ids=["background", "aniso", "reaching", "centred"])
+def test_condensation_matches_dense_elimination(h, doc):
+    mesh = build_disk_mesh(h)
+    field = parse_scenario(doc)
+    system = assemble_system(mesh, field)
+    M = len(mesh.ring_starts) - 2
+    if doc is REACHING_DOC:
+        assert system.dense_rings == M  # no annulus: the elimination is dense throughout
+    elif doc["inclusions"] == []:
+        assert system.dense_rings == 1
+    else:
+        assert 1 <= system.dense_rings < M
+    dense = dense_bordered(mesh, field)
+    assert np.linalg.norm(system._bordered - dense) <= 1e-13 * np.linalg.norm(dense)
+
+
+def identity_entries(nv):
+    return np.arange(nv), np.arange(nv), np.ones(nv, dtype=complex)
+
+
 def test_singular_blocks_raise_solver_error():
     mesh = build_disk_mesh(0.2)  # rings of 1, 6, ..., 30 vertices
-    sizes = [1] + [6 * i for i in range(1, 6)]
-    zero = [np.zeros((n, prev + n)) for prev, n in zip([0] + sizes, sizes)]
-    with pytest.raises(SolverError, match="singular: Schur complement of ring 0"):
-        FemSystem(mesh, zero, np.ones(mesh.n_boundary))
-    # identity blocks condense to the identity, but nothing fixes the mean
-    eye = [np.hstack([np.zeros((n, prev)), np.eye(n)]) for prev, n in zip([0] + sizes, sizes)]
-    unconstrained = FemSystem(mesh, eye, np.zeros(mesh.n_boundary))
+    rows, cols, _ = identity_entries(mesh.n_vertices)
+    zero = (rows, cols, np.zeros(mesh.n_vertices, dtype=complex))
+    for dense_rings in (1, 5):  # with and without an annulus outside the dense rings
+        with pytest.raises(SolverError, match="singular: Schur complement of ring 0"):
+            FemSystem(mesh, zero, np.ones(mesh.n_boundary), dense_rings)
+    # the identity condenses to the identity, but nothing fixes the mean
+    unconstrained = FemSystem(mesh, identity_entries(mesh.n_vertices), np.zeros(mesh.n_boundary), 1)
     with pytest.raises(SolverError, match="singular: boundary matrix bordered"):
         unconstrained.boundary_solve(cos_current(mesh, 1))
+
+
+def test_singular_fourier_block_names_ring_and_block():
+    # the identity, but ring 2 holds the Laplacian of its 12-cycle: rotation invariant, and
+    # singular only on the constants, which the sector DFT puts in Fourier block 0
+    mesh = build_disk_mesh(0.2)
+    rows, cols, values = identity_entries(mesh.n_vertices)
+    ring = np.arange(mesh.ring_starts[2], mesh.ring_starts[3])
+    values[ring] = 2.0
+    neighbours = mesh.ring_starts[2] + (ring - mesh.ring_starts[2] + 1) % 12
+    entries = (np.concatenate([rows, ring, neighbours]), np.concatenate([cols, neighbours, ring]),
+               np.concatenate([values, -np.ones(24)]))
+    with pytest.raises(SolverError, match="singular: Schur complement of ring 2, Fourier block 0$"):
+        FemSystem(mesh, entries, np.ones(mesh.n_boundary), 1)
 
 
 def test_assembly_refuses_non_coercive_field():

@@ -61,6 +61,21 @@ def test_mesh_invariants(h):
     assert np.array_equal(mesh.boundary, sorted(on_boundary_edges))
 
 
+@pytest.mark.parametrize("h", [0.5, 0.2, 0.05, 0.03, 0.015])
+def test_mesh_maps_onto_itself_under_a_sixth_turn(h):
+    # the FEM's sector DFT needs the 60 degree rotation (ring i, slot j) -> (i, j + i mod 6i)
+    # to permute the vertices and the triangle set
+    mesh = build_disk_mesh(h)
+    starts = mesh.ring_starts
+    ring = np.searchsorted(starts, np.arange(mesh.n_vertices), side="right") - 1
+    turn = starts[ring] + (np.arange(mesh.n_vertices) - starts[ring] + ring) % np.maximum(6 * ring, 1)
+    c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    assert np.abs(mesh.vertices[turn] - mesh.vertices @ [[c, s], [-s, c]]).max() <= 1e-12
+    triangles = np.unique(np.sort(mesh.triangles, axis=1), axis=0)
+    assert np.array_equal(np.unique(np.sort(turn[mesh.triangles], axis=1), axis=0), triangles)
+    assert len(triangles) == len(mesh.triangles)
+
+
 def test_mesh_holds_its_boundary_angles():
     # a mesh is a value of h_target: nothing else can be handed to the constructor
     assert [f.name for f in dataclasses.fields(DiskMesh) if f.init] == ["h_target"]

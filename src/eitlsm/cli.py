@@ -134,8 +134,8 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     if seed < 0:
         raise ConfigurationError(f"config.noise.seed: must be >= 0, got {seed}")
     epsilon = json_number(delta["epsilon"], "config.delta_rule.epsilon")
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"config.delta_rule.epsilon: must be positive, got {epsilon}")
+    if not 0.0 < epsilon < 1.0:  # at or above 1 every sweep point is infeasible-high
+        raise ConfigurationError(f"config.delta_rule.epsilon: must lie in (0, 1), got {epsilon}")
     grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
     if grid["r_max"] < 0.0:  # the library accepts an empty grid; a run on it finds no point
         raise ConfigurationError(f"config.grid.r_max: must be >= 0, got {grid['r_max']}")

@@ -183,12 +183,14 @@ def disk_dipole_traces(ys, dirs, N: int) -> np.ndarray:
     dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
     if not (np.hypot(ys[:, 0], ys[:, 1]) < 1.0).all():
         raise ConfigurationError("a dipole location is not strictly inside the unit disk")
-    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-    y = (ys[:, 0] + 1j * ys[:, 1])[:, None]
-    a = (dirs[:, 0] + 1j * dirs[:, 1])[:, None]
-    modes = fourier_modes(N)
-    k = np.abs(modes) - 1
-    return np.where(modes > 0, np.conj(a) * np.conj(y) ** k, a * y**k) / (-2.0 * np.pi)
+    y = ys[:, 0] + 1j * ys[:, 1]
+    out = np.empty((len(ys), 2 * N), dtype=complex)
+    out[:, N - 1] = (dirs[:, 0] + 1j * dirs[:, 1]) / (-2.0 * np.pi * np.hypot(*dirs.T))
+    # mode -k holds a y^(k-1) / (-2pi) in column N - k, each column y times the next
+    for k in range(N - 2, -1, -1):
+        np.multiply(out[:, k + 1], y, out=out[:, k])
+    np.conjugate(out[:, N - 1::-1], out=out[:, N:])  # mode n > 0 is the conjugate of -n
+    return out
 
 
 def singular_trace(mesh: DiskMesh, spec: DipoleSpec, N: int) -> BoundaryField:

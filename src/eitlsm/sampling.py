@@ -7,11 +7,11 @@ coordinates: with W_s = diag(|n|^s) the functional
 
 becomes an ordinary least-squares problem for the matrix W_{1/2} A W_{1/2},
 whose SVD is computed once per data set and reused by every sweep point.
-The Morozov parameter alpha(delta) is found by bisection in log(alpha),
-using the strict monotonicity of the residual. Since Vh is unitary, the
-residual and the solution norm depend only on s^2 and |U^H phi|^2, so the
-bisection runs on all sweep points and directions at once, as whole-array
-operations, and no solution vector is formed for the indicator.
+The Morozov parameter alpha(delta) is found by Newton steps on 1/residual -
+1/delta in x = 1/alpha, using the strict monotonicity of the residual. Since
+Vh is unitary, the residual and the solution norm depend only on s^2 and
+|U^H phi|^2, so the search runs on all sweep points and directions at once,
+as whole-array operations, and no solution vector is formed for the indicator.
 
 The indicator I(y) = ||psi_y^delta||_{-1/2} is small where the dipole trace
 is (approximately) in the range of the data operator - i.e. inside the
@@ -150,14 +150,13 @@ class MorozovResult:
 class _MorozovRows:
     """Discrepancy-principle results for a batch of weighted right-hand sides."""
 
-    beta: np.ndarray  # (R, 2N) U^H phit
     alpha: np.ndarray  # (R,) inf when infeasible-high, 0 when infeasible-low
     residual: np.ndarray  # (R,)
-    indicator: np.ndarray  # (R,) ||psit|| = ||s/(s^2+alpha) beta||
+    indicator: np.ndarray  # (R,) ||psit|| = ||s/(s^2+alpha) U^H phit||
     floor: np.ndarray  # (R,) alpha -> 0 limit of the residual
     ceiling: np.ndarray  # (R,) ||phit||, the alpha -> inf limit
     flag: np.ndarray  # (R,) one of FLAGS
-    steps: np.ndarray  # (R,) bisection steps taken
+    steps: np.ndarray  # (R,) residual evaluations of the Newton search
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -166,35 +165,49 @@ def _tikhonov_filter(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, s / (s**2 + alpha[:, None]), 0.0)
 
 
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each row alone: numpy hands a one-row product to gemv, which sums in
+    another order than gemm, so a lone row is doubled to match it in a batch."""
+    return ((a if len(a) > 1 else np.repeat(a, 2, axis=0)) @ b)[: len(a)]
+
+
 # a failed row may overflow or divide 0 by 0; it is flagged, not warned about
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _MorozovRows:
     """Morozov's alpha for every row of ``phit`` (R, 2N) at once.
 
-    Rules and flags are those of ``morozov_alpha``; the bisection steps all
-    active rows together and freezes each row once it converges. Every
-    operation acts on each row alone, so a row's result does not depend on
-    the batch it is solved in.
+    Rules and flags are those of ``morozov_alpha``. One product gives r^2 of
+    every row at the knots x = 1/s_k^2 and their geometric midpoints, so each
+    row starts in its knot interval; the Newton steps then act on all rows
+    not yet converged. Every operation acts on each row alone, so a row's
+    result does not depend on the batch it is solved in.
     """
     s = data.singular_values
     s2 = s**2
-    # numpy hands a one-row product to gemv, which sums in another order than
-    # gemm; doubling a lone row keeps it bit-identical to the same row in a batch
-    rows = phit if len(phit) > 1 else np.repeat(phit, 2, axis=0)
-    beta = (rows @ data.U.conj())[: len(phit)]
-    beta2 = beta.real**2 + beta.imag**2
+    beta2 = np.abs(_rowwise(phit, data.U.conj()))  # |U^H phit|^2, squared in place
+    beta2 *= beta2
 
-    def residual(alpha: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        gain = alpha[:, None] / (s2 + alpha[:, None])
-        return np.sqrt((gain**2 * beta2[idx]).sum(axis=1))
+    def newton_terms(x: np.ndarray, b2: np.ndarray, u: np.ndarray, w: np.ndarray, t: np.ndarray):
+        """r, ||psit|| and -(1/2) dr^2/dx at x, with u = s^2 x and w = 1 / (1 + u)."""
+        np.multiply(x[:, None], s2, out=u)
+        np.reciprocal(np.add(u, 1.0, out=w), out=w)
+        np.multiply(np.multiply(w, w, out=t), b2, out=t)
+        r = np.sqrt(t.sum(axis=1))
+        t *= u  # ||psit||^2 = sum b2 (s x w)^2, summed without forming x^2
+        psi = np.sqrt(x) * np.sqrt(t.sum(axis=1))
+        t *= w
+        return r, psi, t.sum(axis=1) / x
 
-    ceiling = np.linalg.norm(phit, axis=1)
+    ceiling = np.sqrt(beta2.sum(axis=1))  # ||phit||, U being unitary
     floor = np.sqrt(beta2[:, s <= 0.0].sum(axis=1))
     flag = np.full(len(phit), "ok", dtype=f"<U{max(map(len, FLAGS))}")
     high = delta >= ceiling
     low = ~high & (delta <= floor)
     flag[high], flag[low] = "infeasible-high", "infeasible-low"
     alpha = np.where(high, np.inf, 0.0)
+    residual = np.where(high, ceiling, floor)
+    indicator = np.zeros(len(phit))
+    indicator[low] = np.sqrt((_tikhonov_filter(s, alpha[low]) ** 2 * beta2[low]).sum(axis=1))
     steps = np.zeros(len(phit), dtype=int)
 
     idx = np.flatnonzero(~high & ~low)
@@ -202,52 +215,70 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
     # With U unitary, sum |beta_i|^2 = c^2, so r(alpha) >= alpha / (s_1^2 + alpha) * c,
     # which reaches d at hi; and with s_min the least positive singular value,
     # r(alpha)^2 <= f^2 + (alpha / s_min^2)^2 (c^2 - f^2), which is at most d^2 at lo.
+    # In x = 1/alpha the root lies in [1/hi, 1/lo].
     hi = s2[0] * d / (c - d)
     s_min2 = s[s > 0.0][-1] ** 2 if s[0] > 0.0 else 0.0
-    lo = s_min2 * np.sqrt((d - f) / (c - f) * ((d + f) / (c + f)))
-    mid = hi.copy()  # the alpha reported for a row with no usable bracket
-    converged = np.zeros(len(idx), dtype=bool)
-    active = np.flatnonzero(lo > 0.0)  # lo underflows to 0 when s_min^2 does
+    x_lo, x_hi = 1.0 / hi, 1.0 / (s_min2 * np.sqrt((d - f) / (c - f) * ((d + f) / (c + f))))
+    stuck = ~np.isfinite(x_hi)  # no usable bracket (1/lo overflows): reported at hi
+    alpha[idx[stuck]] = hi[stuck]
+    residual[idx[stuck]], indicator[idx[stuck]], _ = newton_terms(
+        x_lo[stuck], beta2[idx[stuck]], *np.empty((3, stuck.sum(), len(s))))
+    live = np.flatnonzero(~stuck)  # if any, 1/s_min^2 is a finite knot
+    knots = 1.0 / s2[(s2 > 0.0) & (1.0 / s2 < np.inf)]
+    knots = np.sort(np.concatenate([knots, np.sqrt(knots[1:]) * np.sqrt(knots[:-1])]))
+    b2 = beta2 if len(live) == len(phit) else beta2[idx[live]]
+    d, x_lo, x_hi = d[live], x_lo[live], x_hi[live]
+    at_knots = _rowwise(b2, (1.0 / (1.0 + np.outer(s2, knots))) ** 2)  # r^2, (n, K)
+    left = (at_knots > (d**2)[:, None]).sum(axis=1)  # knots left of the root
+    edges = np.concatenate([[0.0], knots, [np.inf]])
+    x_lo, x_hi = np.maximum(x_lo, edges[left]), np.minimum(x_hi, edges[left + 1])
+    # log-log interpolation of r^2 in the knot interval, or out of the first or the
+    # last one; a lone knot gives k = -1, and 0/0 sends the start to the midpoint
+    k = np.clip(left - 1, 0, len(knots) - 2)[:, None]
+    ra, rb = (np.log(np.take_along_axis(at_knots, k + j, 1)[:, 0]) for j in (0, 1))
+    ka, kb = np.log(knots[k[:, 0]]), np.log(knots[k[:, 0] + 1])
+    xl = np.exp(ka + (2.0 * np.log(d) - ra) / (rb - ra) * (kb - ka))
+    work = np.empty((3, *b2.shape))
     for _ in range(MOROZOV_MAX_STEPS):
-        if not len(active):
+        # a step that leaves the bracket takes its geometric midpoint instead
+        xl = np.where((xl > x_lo) & (xl < x_hi), xl, np.sqrt(x_lo) * np.sqrt(x_hi))
+        rows = idx[live]
+        steps[rows] += 1
+        r, psi, slope = newton_terms(xl, b2, *work[:, : len(live)])
+        alpha[rows], residual[rows], indicator[rows] = 1.0 / xl, r, psi
+        hit = np.abs(r - d) <= MOROZOV_RTOL * d
+        if hit.any():
+            live, b2, d, r, slope, xl, x_lo, x_hi = (
+                v[~hit] for v in (live, b2, d, r, slope, xl, x_lo, x_hi))
+        if not len(live):
             break
-        mid[active] = np.sqrt(lo[active]) * np.sqrt(hi[active])  # lo * hi may underflow
-        steps[idx[active]] += 1
-        res = residual(mid[active], idx[active])
-        hit = np.abs(res - d[active]) <= MOROZOV_RTOL * d[active]
-        converged[active[hit]] = True
-        below = (res < d[active])[~hit]
-        active = active[~hit]
-        lo[active[below]] = mid[active[below]]
-        hi[active[~below]] = mid[active[~below]]
-    alpha[idx] = mid
+        below = r < d  # the root lies left of xl
+        x_lo, x_hi = np.where(below, x_lo, xl), np.where(below, xl, x_hi)
+        xl = xl + r * r * (r - d) / (d * slope)  # Newton on 1/r(x) - 1/d
 
-    achieved = np.where(high, ceiling, floor)
-    achieved[idx] = residual(mid, idx)
-    flag[idx[~converged | ~np.isfinite(achieved[idx])]] = "not-converged"
-    indicator = np.sqrt((_tikhonov_filter(s, alpha) ** 2 * beta2).sum(axis=1))
-    return _MorozovRows(beta, alpha, achieved, indicator, floor, ceiling, flag, steps)
+    missed = ~(np.abs(residual[idx] - delta[idx]) <= MOROZOV_RTOL * delta[idx])  # or not finite
+    flag[idx[missed]] = "not-converged"  # such a row keeps the values of its last step
+    return _MorozovRows(alpha, residual, indicator, floor, ceiling, flag, steps)
 
 
 def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> MorozovResult:
     """Select alpha so that the residual matches the discrepancy level delta.
 
     residual(alpha) increases strictly from the alpha -> 0 floor f to
-    c = ||rhs||; bisection on log(alpha) brings it within MOROZOV_RTOL of
-    delta, inside the closed-form bracket hi = s_1^2 delta / (c - delta) and
-    lo = s_min^2 sqrt((delta^2 - f^2) / (c^2 - f^2)), with s_min the least
-    positive singular value. Outside the feasible window the result is
+    c = ||rhs||; Newton steps on 1/residual - 1/delta in x = 1/alpha, kept in
+    the closed-form bracket [1/hi, 1/lo] of ``_morozov_rows``, bring it within
+    MOROZOV_RTOL of delta. Outside the feasible window the result is
     flagged: below the floor the alpha -> 0 (minimum-norm) solution is
     returned, at or above ||rhs|| the zero current already satisfies the
-    constraint. A bisection that fails (a bracket that underflows to 0, as
-    when s_min^2 does, MOROZOV_MAX_STEPS spent or a non-finite residual) is
-    flagged "not-converged". This is a one-row call into the sweep kernel.
+    constraint. A search that fails (1/lo overflowing, as when s_min^2
+    underflows, or MOROZOV_MAX_STEPS spent) is flagged "not-converged".
+    This is a one-row call into the sweep kernel.
     """
     if delta <= 0.0:
         raise ConfigurationError(f"discrepancy level must be positive, got {delta}")
     phit = data.weighted_rhs(rhs)
     row = _morozov_rows(data, phit[None, :], np.array([float(delta)]))
-    filtered = _tikhonov_filter(data.singular_values, row.alpha)[0] * row.beta[0]
+    filtered = _tikhonov_filter(data.singular_values, row.alpha)[0] * (data.U.conj().T @ phit)
     psit = data.Vh.conj().T @ filtered
     return MorozovResult(float(row.alpha[0]), _unweight(data, psit), float(row.residual[0]),
                          delta, str(row.flag[0]), float(row.floor[0]), float(row.ceiling[0]))
@@ -309,7 +340,7 @@ class IndicatorMap:
     spacing: float
     r_max: float
     flag: np.ndarray  # (P,) Morozov flag (one of FLAGS) of the maximizing direction
-    steps: np.ndarray  # (P,) its bisection steps
+    steps: np.ndarray  # (P,) its Newton residual evaluations
 
     def __len__(self) -> int:
         return len(self.points)
@@ -336,8 +367,8 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
 
     All points and directions are solved together: their weighted dipole
     traces are stacked into one (P * ndir, 2N) array and a single
-    whole-array bisection selects every alpha at once (see ``morozov_alpha``
-    for the per-row rule and flags).
+    whole-array Newton search selects every alpha at once (see
+    ``morozov_alpha`` for the per-row rule and flags).
 
     Parameters
     ----------
@@ -363,8 +394,8 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
     except KeyError:
         raise ConfigurationError("delta_rule is missing key 'epsilon'") from None
     check_sweep_settings(spacing, r_max, directions)
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not 0.0 < epsilon < 1.0:  # at or above 1, delta >= ||phi_y||: every point infeasible-high
+        raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon}")
     dirs = _DIRECTION_SETS[directions]
     pts = grid_points(spacing, r_max)
     n_pts = len(pts)
@@ -376,8 +407,8 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
             traces = disk_dipole_traces(ys, ds, data.N)
         else:
             traces = (trace_computer or SingularTraceComputer(mesh, data.N)).trace_batch(ys, ds)
-        phit = traces * data.weights  # (P * ndir, 2N)
-    delta = epsilon * np.linalg.norm(phit, axis=1)
+        phit = np.multiply(traces, data.weights, out=traces)  # (P * ndir, 2N)
+    delta = epsilon * np.sqrt(np.einsum("ij,ij->i", phit.view(float), phit.view(float)))
     rows = _morozov_rows(data, phit, delta)
 
     best = np.arange(n_pts) * len(dirs) + rows.indicator.reshape(n_pts, len(dirs)).argmax(axis=1)
@@ -425,7 +456,7 @@ def estimate_support(imap: IndicatorMap, rule: str = "multiplier",
 
 
 def sweep_diagnostics(imap: IndicatorMap, cutoff: float) -> dict:
-    """Flag counts, then over feasible points: bisection steps, alpha and
+    """Flag counts, then over feasible points: Newton steps, alpha and
     indicator ranges, and the distance from the indicator ``cutoff`` to the
     nearest value at or below it and above it (None when a side is empty)."""
     feasible = imap.feasible
@@ -451,12 +482,14 @@ def sweep_diagnostics(imap: IndicatorMap, cutoff: float) -> dict:
 
 
 def _write_csv(path, points: np.ndarray, columns: dict) -> None:
-    """CSV of x, y and the named per-point columns, rows ending in \\r\\n as
-    the csv module writes them: floats at 17 significant digits, booleans as
-    0/1 (``%.17g`` of 0.0 and 1.0)."""
-    with open(path, "w", newline="") as fh:  # a handle: savetxt gzips a path ending in .gz
-        np.savetxt(fh, np.column_stack([points, *columns.values()]), fmt="%.17g", delimiter=",",
-                   header=",".join(["x", "y", *columns]), comments="", newline="\r\n")
+    """The bytes of ``np.savetxt(fmt="%.17g", delimiter=",", newline="\\r\\n")`` under a
+    header x,y,<columns>, booleans as 0/1; each distinct float64 is formatted once."""
+    table = np.column_stack([points, *columns.values()]).astype(np.float64, copy=False)
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    cells = zip(*([text[i] for i in col] for col in cell.reshape(table.shape).T.tolist()))
+    with open(path, "w", newline="") as fh:  # rows end in \r\n, as the csv module writes them
+        fh.write("\r\n".join([",".join(["x", "y", *columns]), *map(",".join, cells)]) + "\r\n")
 
 
 def write_indicator_csv(imap: IndicatorMap, path) -> None:

@@ -306,6 +306,21 @@ def test_reconstruct_outputs(small_run):
     assert diagnostics["reciprocity_defect"] < 1e-10
 
 
+def test_quick_start_newton_steps(tmp_path):
+    # README's quick start: scenario file, run configuration, simulate, reconstruct
+    write_config(tmp_path, SWEEP_DOC, "scenario.json")
+    cfg = write_config(tmp_path, {"scenario": "scenario.json", "h_target": 0.03, "N": 16,
+                                  "grid": {"spacing": 0.05, "r_max": 0.9},
+                                  "delta_rule": {"epsilon": 0.01}}, "run.json")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+    diagnostics = json.loads((out / "reconstruct_manifest.json").read_text())["diagnostics"]
+    assert diagnostics["flags"]["ok"] == 1009
+    assert diagnostics["morozov_steps"]["median"] <= 5
+    assert diagnostics["morozov_steps"]["max"] <= 12
+
+
 def test_reconstruct_rerun_identical(small_run):
     tmp, cfg, out = small_run
     before = {n: (out / n).read_bytes() for n in ("indicator.csv", "mask.csv", "indicator.pgm")}
@@ -399,16 +414,32 @@ def test_blas_threads_default_to_one():
 
 
 def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):
-    tmp, _, out = small_run
-    doc = dict(SMALL_RUN)
-    doc["delta_rule"] = {"epsilon": 2.0}  # delta >= ||phi||: everything infeasible-high
-    cfg = write_config(tmp_path, doc)
+    # measured differs from background in the mode n = -N alone: the weighted
+    # difference has rank one, so every dipole trace keeps more than epsilon of its
+    # norm on the null directions, and every point is infeasible-low
+    _, cfg, out = small_run
     out2 = tmp_path / "inf"
     out2.mkdir()
-    for n in ("measured.nd", "background.nd"):
-        (out2 / n).write_bytes((out / n).read_bytes())
+    background = load_nd_map(out / "background.nd")
+    forward.save_nd_map(background, out2 / "background.nd")
+    matrix = background.matrix.copy()
+    matrix[0, 0] += 0.1
+    forward.save_nd_map(forward.NdMap(matrix, background.N, "fem"), out2 / "measured.nd")
     assert main(["reconstruct", "--config", cfg, "--out", str(out2)]) == 1
     assert "infeasible" in capsys.readouterr().err
+    rows = (out2 / "indicator_infeasible.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",0") for row in rows)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 2.0])
+def test_epsilon_at_least_one_exits_2(tmp_path, capsys, epsilon):
+    # delta = epsilon ||phi_y|| >= ||phi_y|| makes every point infeasible-high: refused
+    # before any ND file is read
+    doc = dict(SMALL_RUN, delta_rule={"epsilon": epsilon})
+    cfg = write_config(tmp_path, doc)
+    assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "config.delta_rule.epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_default_run_refuses_identical_maps(tmp_path, capsys, monkeypatch):

@@ -97,6 +97,23 @@ def test_off_centre_traces_match_closed_form():
     assert (errs[1] < errs[0]).all()
 
 
+def test_disk_dipole_traces_match_the_power_formula():
+    # the recurrence against numpy's complex power at y = 0, on the circle
+    # |y| = 0.9 and at random points inside it, in each row's 2-norm
+    rng = np.random.default_rng(3)
+    radius, angle = 0.9 * np.sqrt(rng.random(200)), 2.0 * np.pi * rng.random(200)
+    ys = np.vstack([[(0.0, 0.0)], 0.9 * np.column_stack([np.cos(angle[:8]), np.sin(angle[:8])]),
+                    np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])])
+    dirs = rng.standard_normal((len(ys), 2))
+    unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    for N in (1, 2, 16):
+        traces = disk_dipole_traces(ys, dirs, N)
+        power = closed_form_traces(ys, unit, N)
+        error = np.linalg.norm(traces - power, axis=1) / np.linalg.norm(power, axis=1)
+        assert error.max() <= 1e-15
+        assert np.count_nonzero(traces[0]) == 2  # y = 0: only the modes +-1
+
+
 def test_disk_dipole_traces_refuse_non_interior():
     for y in ((1.0, 0.0), (0.0, -1.0), (0.8, 0.7), (np.nan, 0.0)):
         with pytest.raises(ConfigurationError, match="unit disk"):

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitlsm import (
     BoundaryField,
@@ -23,7 +25,7 @@ from eitlsm import (
     write_indicator_pgm,
     write_mask_csv,
 )
-from eitlsm.sampling import MOROZOV_MAX_STEPS, _morozov_rows, _solve_weighted
+from eitlsm.sampling import MOROZOV_MAX_STEPS, _morozov_rows, _solve_weighted, _write_csv
 from conftest import two_phase_diagonal
 
 
@@ -219,20 +221,56 @@ def test_morozov_underflow_not_converged():
     assert not res.feasible
 
 
+def log_bisection_alpha(s, beta2, delta):
+    """Reference Morozov alpha: 200 bisection steps in log(alpha) over [1e-320, 1e10]."""
+    lo, hi = np.log(1e-320), np.log(1e10)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        alpha = np.exp(mid)
+        if np.sqrt(((alpha / (s**2 + alpha)) ** 2 * beta2).sum()) < delta:
+            lo = mid
+        else:
+            hi = mid
+    return np.exp(0.5 * (lo + hi))
+
+
 def test_morozov_bracket_spans_a_wide_spectrum():
     # singular values from 1 down to 1e-150: the smallest-residual rows need
-    # alpha near 1e-303, which the closed-form bracket still encloses
+    # alpha down to 3e-308, which the closed-form bracket still encloses
     N = 8
     s = np.logspace(0.0, -150.0, 2 * N)
     data = RelativeData(np.diag(s / np.abs(fourier_modes(N))), N)
     np.testing.assert_allclose(data.singular_values, s, rtol=1e-12)
     rng = np.random.default_rng(5)
-    phit = rng.standard_normal((6, 2 * N)) + 1j * rng.standard_normal((6, 2 * N))
-    delta = np.repeat([0.3, 0.03, 0.003], 2) * np.linalg.norm(phit, axis=1)
+    phit = rng.standard_normal((10, 2 * N)) + 1j * rng.standard_normal((10, 2 * N))
+    delta = np.repeat([0.3, 0.03, 0.003, 1e-5, 1e-8], 2) * np.linalg.norm(phit, axis=1)
     rows = _morozov_rows(data, phit, delta)
     assert (rows.flag == "ok").all()
     assert (np.abs(rows.residual - delta) <= 1e-6 * delta).all()
     assert (rows.steps <= MOROZOV_MAX_STEPS).all()
+    # the Newton search lands where a plain bisection does, and the indicator
+    # summed in the search matches the solution it stands for
+    beta2 = np.abs(phit @ data.U.conj()) ** 2
+    for i in range(len(phit)):
+        assert abs(np.log(rows.alpha[i] / log_bisection_alpha(s, beta2[i], delta[i]))) <= 1e-6
+        psit, _ = _solve_weighted(data, phit[i], rows.alpha[i])
+        assert np.linalg.norm(psit) == pytest.approx(rows.indicator[i], rel=1e-12)
+
+
+def test_newton_step_leaving_the_bracket_takes_the_midpoint():
+    # singular values 1 and 0.01 and a right-hand side mostly on the first: from
+    # the knot-interval start the first two Newton steps land outside the
+    # bracket, and the safeguard's geometric midpoints carry the row to convergence
+    data = RelativeData(np.diag([1.0, 0.01]).astype(complex), 1)
+    phit = np.array([[1.0, 1e-3]], dtype=complex)
+    for eps in (0.1, 0.3):
+        delta = np.array([eps * np.linalg.norm(phit)])
+        row = _morozov_rows(data, phit, delta)
+        assert row.flag[0] == "ok" and row.steps[0] <= 8
+        assert abs(row.residual[0] - delta[0]) <= 1e-8 * delta[0]
+        beta2 = np.abs(phit[0] @ data.U.conj()) ** 2
+        reference = log_bisection_alpha(data.singular_values, beta2, delta[0])
+        assert abs(np.log(row.alpha[0] / reference)) <= 1e-6
 
 
 def test_morozov_batch_rows_are_independent():
@@ -303,8 +341,9 @@ def test_indicator_map_validation(mesh05, concentric_nd05, background_nd05):
     data = make_relative_data(concentric_nd05, background_nd05)
     with pytest.raises(ConfigurationError):
         indicator_map(data, mesh05, {"spacing": 0.1, "r_max": 0.95}, {"epsilon": 0.01})
-    with pytest.raises(ConfigurationError):
-        indicator_map(data, mesh05, {"spacing": 0.1, "r_max": 0.5}, {"epsilon": 0.0})
+    for epsilon in (0.0, 1.0):  # at 1, delta = ||phi_y||: every point infeasible-high
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            indicator_map(data, mesh05, {"spacing": 0.1, "r_max": 0.5}, {"epsilon": epsilon})
     with pytest.raises(ConfigurationError):
         indicator_map(data, mesh05, {"spacing": 0.1, "r_max": 0.5},
                       {"epsilon": 0.01}, directions="diag")
@@ -456,6 +495,32 @@ def test_output_bytes_are_fixed(tmp_path):
         assert (tmp_path / "i.csv").read_bytes() == indicator_bytes
         assert (tmp_path / "m.csv").read_bytes() == mask_bytes
         assert (tmp_path / "i.pgm").read_bytes() == image_bytes
+
+
+bit_patterns = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-(2**52), 2**52),  # subnormals of either sign and +-0.0
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1.0, 0.1])
+    .map(lambda v: int(np.float64(v).view(np.int64))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(bit_patterns, min_size=5 * n, max_size=5 * n)), st.data())
+def test_csv_writer_matches_savetxt_bytes(tmp_path_factory, patterns, data):
+    # the cell cache must not change a byte: random float64 bit patterns with
+    # repeated values, against np.savetxt with the format the writer documents
+    table = np.array(patterns, dtype=np.int64).view(np.float64).reshape(-1, 5)
+    if len(table) and data.draw(st.booleans()):
+        table[1::2] = table[0]  # every other row repeats the first
+    inside = table[:, 4] > 0.0
+    path = tmp_path_factory.mktemp("csv")
+    _write_csv(path / "w.csv", table[:, :2], {"a": table[:, 2], "b": table[:, 3], "inside": inside})
+    with open(path / "s.csv", "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack([table[:, :4], inside]), fmt="%.17g", delimiter=",",
+                   header="x,y,a,b,inside", comments="", newline="\r\n")
+    assert (path / "w.csv").read_bytes() == (path / "s.csv").read_bytes()
 
 
 def test_feasible_follows_flag(tmp_path, small_sweep):

@@ -190,7 +190,8 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
 
     Coercivity is checked on the admittance's values first, so an inclusion that no
     centroid samples is judged too; assembly is refused when it fails, since the
-    constrained system is then not guaranteed solvable (no Lax-Milgram bound).
+    constrained system is then not guaranteed solvable (no Lax-Milgram bound). An h
+    so large that an element stiffness overflows is a ConfigurationError naming it.
     """
     verts, tris = mesh.vertices, mesh.triangles
     verdict = check_coercivity(admittance)
@@ -208,11 +209,15 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / det[:, None]
     gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / det[:, None]
     gam = admittance.evaluate_batch(p.mean(axis=1))
-    gax = gam[:, 0, 0][:, None] * gx + gam[:, 0, 1][:, None] * gy
-    gay = gam[:, 1, 0][:, None] * gx + gam[:, 1, 1][:, None] * gy
-    kloc = area[:, None, None] * (
-        gx[:, :, None] * gax[:, None, :] + gy[:, :, None] * gay[:, None, :]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before the elimination
+        gax = gam[:, 0, 0][:, None] * gx + gam[:, 0, 1][:, None] * gy
+        gay = gam[:, 1, 0][:, None] * gx + gam[:, 1, 1][:, None] * gy
+        kloc = area[:, None, None] * (gx[:, :, None] * gax[:, None, :]
+                                      + gy[:, :, None] * gay[:, None, :])
+    bad = p[~np.isfinite(kloc).all(axis=(1, 2))].mean(axis=1)  # centroids, inside an inclusion
+    if len(bad):
+        k = [shape.contains(bad).any() for shape in admittance.geometry.components].index(True)
+        raise ConfigurationError(f"inclusions[{k}].h: too large, element stiffness is not finite")
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
     # dense out to the outermost ring that a triangle with gamma != I touches, at least ring 1

@@ -1,9 +1,11 @@
 """Unit-disk triangulations and zero-mean Fourier boundary fields.
 
 The disk is meshed with concentric rings of vertices (ring i of M carries
-6i vertices, uniformly spaced in angle) joined by a deterministic annulus
-zip, so the boundary ring is exactly uniform and every downstream quadrature
-over the boundary is a plain periodic trapezoid rule.
+6i vertices, uniformly spaced in angle), so the boundary ring is exactly
+uniform and every downstream quadrature over the boundary is a plain periodic
+trapezoid rule. Rings i and i+1 are joined sector by sector: each 60 degree
+sector holds 2i+1 triangles, one step along ring i+1, then i pairs of steps
+along ring i and ring i+1.
 
 Boundary data lives in ``BoundaryField``: truncated Fourier coefficients
 for modes 1 <= |n| <= N with the n = 0 component structurally absent, which
@@ -100,36 +102,23 @@ class DiskMesh:
     def __post_init__(self):
         check_mesh_settings(self.h_target)
         M = math.ceil(1.0 / self.h_target)
-        verts = [np.zeros((1, 2))]
-        ring_start = np.zeros(M + 1, dtype=int)
-        count = 1
-        for i in range(1, M + 1):
-            n_i = 6 * i
-            ring_start[i] = count
-            ang = 2.0 * np.pi * np.arange(n_i) / n_i
-            r = i / M
-            verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
-            count += n_i
-        self.vertices = np.concatenate(verts)
+        i = np.arange(M + 1)
+        self.ring_starts = np.append(0, 1 + 3 * i * (i + 1))
+        size = np.diff(self.ring_starts)  # 1, then 6i on ring i
+        ring = np.repeat(i, size)
+        ang = 2.0 * np.pi * (np.arange(len(ring)) - self.ring_starts[ring]) / size[ring]
+        r = ring / M
+        self.vertices = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
 
-        tris = []
-        s1 = ring_start[1]
-        for j in range(6):
-            tris.append((0, s1 + j, s1 + (j + 1) % 6))
-        for i in range(1, M):
-            na, nb = 6 * i, 6 * (i + 1)
-            sa, sb = ring_start[i], ring_start[i + 1]
-            ia = ib = 0
-            while ia < na or ib < nb:
-                # advance whichever ring has the smaller next (unwrapped) angle
-                if ib >= nb or (ia < na and (ia + 1) * nb <= (ib + 1) * na):
-                    tris.append((sa + ia % na, sb + ib % nb, sa + (ia + 1) % na))
-                    ia += 1
-                else:
-                    tris.append((sa + ia % na, sb + ib % nb, sb + (ib + 1) % nb))
-                    ib += 1
-        self.triangles = np.array(tris, dtype=int)
-        self.ring_starts = np.append(ring_start, count)
+        # Ring pair i (the centre a ring of one) owns triangles [6i^2, 6(i+1)^2): per sector an
+        # outer step, then i (inner, outer) pairs; from slots (a, b) they add (a, b, a+1), (a, b, b+1).
+        pair = np.repeat(i[:-1], 6 * (2 * i[:-1] + 1))
+        sector, step = np.divmod(np.arange(6 * M * M) - 6 * pair**2, 2 * pair + 1)
+        a, b = sector * pair + step // 2, sector * (pair + 1) + (step + 1) // 2
+        na, nb = np.maximum(6 * pair, 1), 6 * pair + 6
+        sa, sb = self.ring_starts[pair], self.ring_starts[pair + 1]
+        third = np.where(step % 2 == 1, sa + (a + 1) % na, sb + (b + 1) % nb)
+        self.triangles = np.column_stack([sa + a % na, sb + b % nb, third])
 
         x, y = self.vertices[self.boundary].T
         self.boundary_angles = np.mod(np.arctan2(y, x), 2 * np.pi)

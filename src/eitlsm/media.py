@@ -174,6 +174,7 @@ def _hermitian_eig(mats: np.ndarray, sign: float) -> np.ndarray:
     return (a + d) / 2 + sign * disc
 
 
+@np.errstate(over="ignore")  # an eigenvalue scaled back to inf is above every minimum
 def check_coercivity(fld: AdmittanceField) -> dict:
     """Scan unimodular z for Re(z conj(zeta) . gamma zeta) >= alpha |zeta|^2.
 
@@ -181,17 +182,20 @@ def check_coercivity(fld: AdmittanceField) -> dict:
     I, whatever mesh samples it. For each of the 64 uniformly spaced
     z = exp(i phi_k), alpha(z) is the smallest eigenvalue of the Hermitian
     part of z * gamma over those values; for I that is Re z. Returns the
-    first z with the largest alpha(z).
+    first z with the largest alpha(z). A value with parts of modulus 1 or more
+    is scaled exactly by the power of two that takes them below 1, then back.
 
     Returns
     -------
     dict with keys ``holds`` (alpha > 0), ``alpha`` and ``z``.
     """
     gam = _IDENTITY + np.reshape(fld.perturbations, (-1, 2, 2))
+    exponent = np.maximum(np.frexp(np.abs(gam.view(float)).max(axis=(1, 2)))[1], 0)
     zs = np.exp(2j * np.pi * np.arange(64) / 64)
-    zg = zs[:, None, None, None] * gam
+    zg = zs[:, None, None, None] * (gam * np.ldexp(1.0, -exponent)[:, None, None])
     herm = 0.5 * (zg + np.conj(np.swapaxes(zg, -1, -2)))
-    alphas = np.minimum(_hermitian_eig(herm, -1.0).min(axis=1, initial=np.inf), zs.real)
+    eigs = np.ldexp(_hermitian_eig(herm, -1.0), exponent)
+    alphas = np.minimum(eigs.min(axis=1, initial=np.inf), zs.real)
     best = int(alphas.argmax())
     return {"holds": bool(alphas[best] > 0.0), "alpha": float(alphas[best]),
             "z": complex(zs[best])}

@@ -103,12 +103,10 @@ def make_relative_data(measured: NdMap, background: NdMap) -> RelativeData:
 
 
 def _solve_weighted(data: RelativeData, phit: np.ndarray, alpha: float):
-    """Tikhonov minimizer in weighted coordinates; returns (psit, residual)."""
-    s = data.singular_values
+    """Tikhonov minimizer in weighted coordinates, alpha in [0, inf]; returns (psit, residual)."""
     beta = data.U.conj().T @ phit
-    psit = data.Vh.conj().T @ ((s / (s**2 + alpha)) * beta)
-    residual = float(np.linalg.norm((alpha / (s**2 + alpha)) * beta))
-    return psit, residual
+    f, g = _tikhonov_filter(data.singular_values, np.asarray(alpha))
+    return data.Vh.conj().T @ (f * beta), float(np.linalg.norm(g * beta))
 
 
 def _unweight(data: RelativeData, psit: np.ndarray) -> BoundaryField:
@@ -159,10 +157,12 @@ class _MorozovRows:
     steps: np.ndarray  # (R,) residual evaluations of the Newton search
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _tikhonov_filter(s: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Rows s/(s^2 + alpha), 0 on null directions; alpha may be 0 or inf."""
-    return np.where(s > 0.0, s / (s**2 + alpha[:, None]), 0.0)
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _tikhonov_filter(s: np.ndarray, alpha: np.ndarray):
+    """Rows of s/(s^2 + alpha) and alpha/(s^2 + alpha), alpha in [0, inf], as 1/(s + t) and
+    1/(1 + s/t) with t = alpha/s, never forming s^2; 0 and 1 on null directions."""
+    t = alpha[..., None] / s
+    return np.where(s > 0.0, 1.0 / (s + t), 0.0), np.where(s > 0.0, 1.0 / (1.0 + s / t), 1.0)
 
 
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,7 +207,6 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
     alpha = np.where(high, np.inf, 0.0)
     residual = np.where(high, ceiling, floor)
     indicator = np.zeros(len(phit))
-    indicator[low] = np.sqrt((_tikhonov_filter(s, alpha[low]) ** 2 * beta2[low]).sum(axis=1))
     steps = np.zeros(len(phit), dtype=int)
 
     idx = np.flatnonzero(~high & ~low)
@@ -221,8 +220,9 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
     x_lo, x_hi = 1.0 / hi, 1.0 / (s_min2 * np.sqrt((d - f) / (c - f) * ((d + f) / (c + f))))
     stuck = ~np.isfinite(x_hi)  # no usable bracket (1/lo overflows): reported at hi
     alpha[idx[stuck]] = hi[stuck]
-    residual[idx[stuck]], indicator[idx[stuck]], _ = newton_terms(
-        x_lo[stuck], beta2[idx[stuck]], *np.empty((3, stuck.sum(), len(s))))
+    fixed = np.concatenate([np.flatnonzero(low), idx[stuck]])  # by the filter, free of overflow
+    fb, gb = (part * np.sqrt(beta2[fixed]) for part in _tikhonov_filter(s, alpha[fixed]))
+    residual[fixed], indicator[fixed] = np.hypot.reduce(gb, axis=1), np.hypot.reduce(fb, axis=1)
     live = np.flatnonzero(~stuck)  # if any, 1/s_min^2 is a finite knot
     knots = 1.0 / s2[(s2 > 0.0) & (1.0 / s2 < np.inf)]
     knots = np.sort(np.concatenate([knots, np.sqrt(knots[1:]) * np.sqrt(knots[:-1])]))
@@ -271,15 +271,15 @@ def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> Moroz
     flagged: below the floor the alpha -> 0 (minimum-norm) solution is
     returned, at or above ||rhs|| the zero current already satisfies the
     constraint. A search that fails (1/lo overflowing, as when s_min^2
-    underflows, or MOROZOV_MAX_STEPS spent) is flagged "not-converged".
-    This is a one-row call into the sweep kernel.
+    underflows, or MOROZOV_MAX_STEPS spent) is flagged "not-converged"; with
+    no bracket it is reported at alpha = hi, 0 when s_1^2 underflows too.
+    This is a one-row call into the sweep kernel and ``_solve_weighted``.
     """
     if delta <= 0.0:
         raise ConfigurationError(f"discrepancy level must be positive, got {delta}")
     phit = data.weighted_rhs(rhs)
     row = _morozov_rows(data, phit[None, :], np.array([float(delta)]))
-    filtered = _tikhonov_filter(data.singular_values, row.alpha)[0] * (data.U.conj().T @ phit)
-    psit = data.Vh.conj().T @ filtered
+    psit, _ = _solve_weighted(data, phit, row.alpha[0])
     return MorozovResult(float(row.alpha[0]), _unweight(data, psit), float(row.residual[0]),
                          delta, str(row.flag[0]), float(row.floor[0]), float(row.ceiling[0]))
 

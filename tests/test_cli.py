@@ -222,6 +222,20 @@ def test_simulate_refuses_non_coercive(tmp_path, capsys):
     assert "coercivity" in capsys.readouterr().err
 
 
+def test_simulate_refuses_overflowing_stiffness(tmp_path, capsys):
+    # gamma = (1 + 1e308) I passes the coercivity check, but its element stiffness overflows
+    huge = {"inclusions": [{"shape": "disk", "center": [0.3, 0.0], "radius": 0.25,
+                            "h": [[0.0, 0.0], [0.0, 0.0]]},
+                           {"shape": "disk", "center": [-0.4, 0.0], "radius": 0.25,
+                            "h": [[1e308, 0.0], [0.0, 1e308]]}]}
+    cfg = write_config(tmp_path, {"scenario": huge, "h_target": 0.1, "N": 4})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "inclusions[1].h" in err and len(err.strip().splitlines()) == 1
+    assert not list(out.glob("*.nd"))
+
+
 def test_simulate_refuses_inclusion_no_centroid_samples(tmp_path, capsys):
     # gamma = -I on a disk that holds no triangle centroid of the mesh
     bad = {"inclusions": [{"shape": "disk", "center": [0.5, 0.0], "radius": 0.01,

@@ -76,6 +76,47 @@ def test_mesh_maps_onto_itself_under_a_sixth_turn(h):
     assert len(triangles) == len(mesh.triangles)
 
 
+def merged_ring_mesh(h):
+    """Reference ring mesh: one loop over the rings, a two-cursor merge per ring pair."""
+    M = int(np.ceil(1.0 / h))
+    verts = [np.zeros((1, 2))]
+    ring_start = np.zeros(M + 1, dtype=int)
+    count = 1
+    for i in range(1, M + 1):
+        n_i = 6 * i
+        ring_start[i] = count
+        ang = 2.0 * np.pi * np.arange(n_i) / n_i
+        r = i / M
+        verts.append(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
+        count += n_i
+    tris = []
+    s1 = ring_start[1]
+    for j in range(6):
+        tris.append((0, s1 + j, s1 + (j + 1) % 6))
+    for i in range(1, M):
+        na, nb = 6 * i, 6 * (i + 1)
+        sa, sb = ring_start[i], ring_start[i + 1]
+        ia = ib = 0
+        while ia < na or ib < nb:
+            # advance whichever ring has the smaller next (unwrapped) angle
+            if ib >= nb or (ia < na and (ia + 1) * nb <= (ib + 1) * na):
+                tris.append((sa + ia % na, sb + ib % nb, sa + (ia + 1) % na))
+                ia += 1
+            else:
+                tris.append((sa + ia % na, sb + ib % nb, sb + (ib + 1) % nb))
+                ib += 1
+    return np.concatenate(verts), np.array(tris, dtype=int), np.append(ring_start, count)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.1, 0.05, 0.03, 0.015, 0.005])
+def test_mesh_matches_the_ring_merge(h):
+    mesh = DiskMesh(h)
+    for name, expected in zip(("vertices", "triangles", "ring_starts"), merged_ring_mesh(h)):
+        got = getattr(mesh, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_mesh_holds_its_boundary_angles():
     # a mesh is a value of h_target: nothing else can be handed to the constructor
     assert [f.name for f in dataclasses.fields(DiskMesh) if f.init] == ["h_target"]

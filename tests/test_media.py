@@ -92,6 +92,13 @@ def test_coercivity_isotropic_alpha(sigma):
     assert verdict["alpha"] == pytest.approx(min(1.0, sigma), abs=1e-12)
 
 
+def test_coercivity_huge_isotropic_inclusion():
+    # gamma = (1 + 1e308) I is coercive; its Hermitian parts would overflow unscaled
+    verdict = check_coercivity(disk_field(1e308 * I2))
+    assert verdict["holds"]
+    assert verdict["alpha"] == 1.0 and verdict["z"] == 1.0
+
+
 def test_coercivity_absorbing_inclusion():
     # gamma = (1 - i) I inside: both the background and the inclusion value
     # lie in the right half-plane

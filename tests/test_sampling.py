@@ -221,6 +221,20 @@ def test_morozov_underflow_not_converged():
     assert not res.feasible
 
 
+def test_morozov_squares_underflowing_to_zero():
+    # every s^2 underflows, so the upper bracket end hi is 0 as well: the row is
+    # reported at alpha 0, where the filter 1/(s + alpha/s) is 1/s, with finite values
+    data = RelativeData(np.diag([1e-170, 1e-170]), 1)
+    res = morozov_alpha(data, BoundaryField([1.0, 1.0], 1, 0.5), 0.5)
+    assert res.flag == "not-converged"
+    assert np.isfinite([res.alpha, res.residual]).all()
+    assert np.isfinite(res.psi.coeffs).all()
+    np.testing.assert_allclose(res.psi.coeffs, [1e170, 1e170], rtol=1e-12)
+    row = _morozov_rows(data, np.array([[1.0, 1.0]], dtype=complex), np.array([0.5]))
+    assert row.alpha[0] == 0.0 and row.residual[0] == 0.0
+    assert row.indicator[0] == pytest.approx(np.sqrt(2.0) * 1e170, rel=1e-12)
+
+
 def log_bisection_alpha(s, beta2, delta):
     """Reference Morozov alpha: 200 bisection steps in log(alpha) over [1e-320, 1e10]."""
     lo, hi = np.log(1e-320), np.log(1e10)

@@ -232,7 +232,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
         },
         "diagnostics": {"symmetry_defect": {"measured": measured.symmetry_defect(),
                                             "background": background.symmetry_defect()},
-                        "fem": {"rings": len(mesh.ring_starts) - 2, "dense_rings": system.dense_rings}},
+                        "fem": {"rings": len(mesh.ring_starts) - 2, "dense_rings": system.dense_rings},
+                        "gamma_max": cfg.scenario.gamma_max},
         "files": [os.path.basename(measured_path), os.path.basename(background_path)],
     })
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
@@ -267,6 +268,10 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     measured_path = os.path.join(out_dir, cfg.measured_path)
     background_path = os.path.join(out_dir, cfg.background_path)
     measured, background = load_nd_map(measured_path), load_nd_map(background_path)
+    for path, nd in ((measured_path, measured), (background_path, background)):
+        if nd.N != cfg.N:
+            raise ConfigurationError(f"{path}: ND map has N={nd.N} but config.N is {cfg.N}; "
+                                     "refusing to mix runs")
     if np.array_equal(measured.matrix, background.matrix):
         raise ConfigurationError(f"{measured_path} and {background_path} hold the same ND map: "
                                  "with no inclusion and no noise there is nothing to locate")

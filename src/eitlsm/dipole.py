@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .forward import assemble_system
 from .geometry import BoundaryField, DiskMesh, fourier_modes, fourier_projector
-from .media import AdmittanceField, InclusionGeometry
+from .media import AdmittanceField
 
 __all__ = [
     "DipoleSpec",
@@ -99,26 +99,18 @@ class AuxCircle:
             )
 
 
-def _dipole_boundary_values(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """a . Psi(x - y) at boundary points for a batch of (y, a); shape (B, nb)."""
-    d = bpts[None, :, :] - ys[:, None, :]
-    r2 = np.einsum("bki,bki->bk", d, d)
-    ad = np.einsum("bki,bi->bk", d, dirs)
-    return -ad / (2.0 * np.pi * r2)
+def _dipole_fields(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray):
+    """a . Psi(x - y) and its outward normal derivative at points of the unit circle.
 
-
-def _dipole_neumann_data(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Outward normal derivative of a . Psi(x - y) on the unit circle.
-
-    With nu = x on |x| = 1 this is
-    -(1/2pi) [ nu.a / r^2 - 2 (nu.(x-y)) (a.(x-y)) / r^4 ].
+    For a batch of (y, a); each array has shape (B, nb). With nu = x on |x| = 1
+    the derivative is -(1/2pi) [ nu.a / r^2 - 2 (nu.(x-y)) (a.(x-y)) / r^4 ].
     """
     d = bpts[None, :, :] - ys[:, None, :]
     r2 = np.einsum("bki,bki->bk", d, d)
-    nd = np.einsum("ki,bki->bk", bpts, d)
     ad = np.einsum("bki,bi->bk", d, dirs)
+    nd = np.einsum("ki,bki->bk", bpts, d)
     na = np.einsum("ki,bi->bk", bpts, dirs)
-    return -(na / r2 - 2.0 * nd * ad / r2**2) / (2.0 * np.pi)
+    return -ad / (2.0 * np.pi * r2), -(na / r2 - 2.0 * nd * ad / r2**2) / (2.0 * np.pi)
 
 
 class SingularTraceComputer:
@@ -135,7 +127,7 @@ class SingularTraceComputer:
         self._projector = fourier_projector(mesh, N)
         self.mesh = mesh
         self.N = N
-        system = assemble_system(mesh, AdmittanceField(InclusionGeometry(components=[]), []))
+        system = assemble_system(mesh, AdmittanceField([], []))
         self._response = self._projector @ system.boundary_solve(np.eye(mesh.n_boundary))
         self._clearance = 2.0 * mesh.h_target
 
@@ -161,9 +153,8 @@ class SingularTraceComputer:
         self._check_interior(ys)
         mesh = self.mesh
         bpts = mesh.vertices[mesh.boundary]
-        g = _dipole_neumann_data(bpts, ys, dirs)
+        w, g = _dipole_fields(bpts, ys, dirs)
         g = g - g.mean(axis=1, keepdims=True)  # admissible (zero-mean) currents
-        w = _dipole_boundary_values(bpts, ys, dirs)
         return w @ self._projector.T - g @ self._response.T
 
     def trace(self, spec: DipoleSpec) -> BoundaryField:

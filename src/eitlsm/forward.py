@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .geometry import DiskMesh, check_order, fourier_modes, fourier_projector
-from .media import AdmittanceField, InclusionGeometry, check_coercivity
+from .media import AdmittanceField, check_coercivity
 
 __all__ = [
     "FemSystem",
@@ -190,8 +190,8 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
 
     Coercivity is checked on the admittance's values first, so an inclusion that no
     centroid samples is judged too; assembly is refused when it fails, since the
-    constrained system is then not guaranteed solvable (no Lax-Milgram bound). An h
-    so large that an element stiffness overflows is a ConfigurationError naming it.
+    constrained system is then not guaranteed solvable (no Lax-Milgram bound). The
+    bound on gamma keeps every element stiffness finite.
     """
     verts, tris = mesh.vertices, mesh.triangles
     verdict = check_coercivity(admittance)
@@ -209,15 +209,10 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1) / det[:, None]
     gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1) / det[:, None]
     gam = admittance.evaluate_batch(p.mean(axis=1))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, before the elimination
-        gax = gam[:, 0, 0][:, None] * gx + gam[:, 0, 1][:, None] * gy
-        gay = gam[:, 1, 0][:, None] * gx + gam[:, 1, 1][:, None] * gy
-        kloc = area[:, None, None] * (gx[:, :, None] * gax[:, None, :]
-                                      + gy[:, :, None] * gay[:, None, :])
-    bad = p[~np.isfinite(kloc).all(axis=(1, 2))].mean(axis=1)  # centroids, inside an inclusion
-    if len(bad):
-        k = [shape.contains(bad).any() for shape in admittance.geometry.components].index(True)
-        raise ConfigurationError(f"inclusions[{k}].h: too large, element stiffness is not finite")
+    gax = gam[:, 0, 0][:, None] * gx + gam[:, 0, 1][:, None] * gy
+    gay = gam[:, 1, 0][:, None] * gx + gam[:, 1, 1][:, None] * gy
+    kloc = area[:, None, None] * (gx[:, :, None] * gax[:, None, :]
+                                  + gy[:, :, None] * gay[:, None, :])
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
     # dense out to the outermost ring that a triangle with gamma != I touches, at least ring 1
@@ -250,7 +245,7 @@ def nd_map_from_system(system: FemSystem, N: int, load_rule: str = "trapezoid") 
 
 def compute_background_nd_map(mesh: DiskMesh, N: int) -> NdMap:
     """Inclusion-free ND map: the FEM path with gamma = I on the given mesh."""
-    background = AdmittanceField(InclusionGeometry(components=[]), [])
+    background = AdmittanceField([], [])
     return compute_nd_map(mesh, background, N)
 
 

@@ -1,8 +1,9 @@
 """Admittance distributions gamma = I + h on inclusion supports.
 
 An inclusion is a union of disks/ellipses strictly inside the unit disk,
-each carrying a constant 2x2 complex symmetric perturbation h. The two
-model assumptions are verified numerically:
+each carrying a constant 2x2 complex symmetric perturbation h, with the
+contrast of gamma bounded by GAMMA_MAX. The two model assumptions are
+verified numerically:
 
 * coercivity  -- Re(z conj(zeta) . gamma(x) zeta) >= alpha |zeta|^2 for some
   unimodular z, checked by scanning z on a grid of the unit circle and
@@ -18,7 +19,7 @@ Scenario documents are JSON; parse errors name the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from .errors import ConfigurationError
 __all__ = [
     "Disk",
     "Ellipse",
-    "InclusionGeometry",
     "AdmittanceField",
+    "GAMMA_MAX",
     "check_coercivity",
     "check_absorption",
     "load_scenario",
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 _IDENTITY = np.eye(2, dtype=complex)
+
+# bound on the largest singular value of gamma: past it the ring elimination
+# loses the ND map of an off-centre inclusion (error about GAMMA_MAX * 1e-16)
+GAMMA_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -90,78 +95,65 @@ class Ellipse:
 Shape = Disk | Ellipse
 
 
-@dataclass
-class InclusionGeometry:
-    """Union of inclusion components with positive clearance from the boundary.
-
-    Invariants (enforced at construction): every component closure lies
-    strictly inside the unit disk, and the components' bounding circles are
-    pairwise disjoint (a conservative separation test).
-    """
-
-    components: list[Shape] = field(default_factory=list)
-
-    def __post_init__(self):
-        for k, shape in enumerate(self.components):
-            if shape.outer_radius_from_origin() >= 1.0:
-                raise ConfigurationError(
-                    f"inclusion component {k} touches or crosses the unit circle "
-                    f"(outer radius {shape.outer_radius_from_origin():.6g})"
-                )
-        for i in range(len(self.components)):
-            for j in range(i + 1, len(self.components)):
-                a, b = self.components[i], self.components[j]
-                gap = np.hypot(*(np.asarray(a.center) - np.asarray(b.center)))
-                if gap <= a.bounding_radius() + b.bounding_radius():
-                    raise ConfigurationError(
-                        f"inclusion components {i} and {j} have overlapping bounding circles"
-                    )
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        out = np.zeros(points.shape[:-1], dtype=bool)
-        for shape in self.components:
-            out |= shape.contains(points)
-        return out
-
-
-def _as_h_matrix(h, where: str) -> np.ndarray:
-    m = np.asarray(h, dtype=complex)
-    if m.shape != (2, 2):
-        raise ConfigurationError(f"{where}: h must be a 2x2 matrix, got shape {m.shape}")
-    if abs(m[0, 1] - m[1, 0]) > 1e-12 * max(1.0, float(np.abs(m).max())):
-        raise ConfigurationError(f"{where}: h must be symmetric (h[0,1] != h[1,0])")
-    return m
-
-
 class AdmittanceField:
     """Admittance gamma(x) = I + h(x) chi_D(x) with anisotropic complex h.
 
+    The one validated value of a scenario: a consumer may take gamma as finite,
+    with every value's largest singular value at most ``GAMMA_MAX``. Errors
+    name a component by its scenario path, ``inclusions[k]``.
+
     Parameters
     ----------
-    geometry : InclusionGeometry
-    perturbations : list, one entry per geometry component
-        Each entry is a constant 2x2 complex symmetric matrix.
+    components : list of Disk or Ellipse
+        Every component closure lies strictly inside the unit disk, and the
+        components' bounding circles are pairwise disjoint (a conservative
+        separation test).
+    perturbations : list, one entry per component
+        Each entry is a constant finite 2x2 complex symmetric matrix h_k.
     absorption_region : list of component indices or None
         Components on which the absorption assumption is claimed; None
         means all of them.
     """
 
-    def __init__(self, geometry: InclusionGeometry, perturbations, absorption_region=None):
-        if len(perturbations) != len(geometry.components):
-            raise ConfigurationError(
-                f"{len(perturbations)} perturbation entries for "
-                f"{len(geometry.components)} inclusion components"
-            )
-        self.geometry = geometry
-        self.perturbations = [_as_h_matrix(h, f"component {k}") for k, h in enumerate(perturbations)]
+    def __init__(self, components, perturbations, absorption_region=None):
+        self.components = list(components)
+        if len(perturbations) != len(self.components):
+            raise ConfigurationError(f"{len(perturbations)} perturbation entries for "
+                                     f"{len(self.components)} inclusion components")
+        for k, shape in enumerate(self.components):
+            outer = shape.outer_radius_from_origin()
+            if outer >= 1.0:
+                raise ConfigurationError(f"inclusions[{k}]: touches or crosses the unit circle "
+                                         f"(outer radius {outer:.6g})")
+            for j, other in enumerate(self.components[:k]):
+                gap = np.hypot(*(np.asarray(shape.center) - np.asarray(other.center)))
+                if gap <= shape.bounding_radius() + other.bounding_radius():
+                    raise ConfigurationError(f"inclusions[{j}] and inclusions[{k}]: "
+                                             "overlapping bounding circles")
+        self.perturbations = []
+        self.gamma_max = 1.0  # largest singular value of gamma, I off the inclusions
+        for k, h in enumerate(perturbations):
+            where = f"inclusions[{k}].h"
+            m = np.asarray(h, dtype=complex)
+            if m.shape != (2, 2):
+                raise ConfigurationError(f"{where}: must be a 2x2 matrix, got shape {m.shape}")
+            if not np.isfinite(m).all():
+                raise ConfigurationError(f"{where}: entries must be finite")
+            size = np.linalg.svd(_IDENTITY + m, compute_uv=False)[0]  # free of overflow
+            if not size <= GAMMA_MAX:  # NaN too
+                raise ConfigurationError(f"{where}: gamma = I + h has largest singular value "
+                                         f"{size:.3g}, above the bound {GAMMA_MAX:g}")
+            if abs(m[0, 1] - m[1, 0]) > 1e-12 * max(1.0, float(np.abs(m).max())):
+                raise ConfigurationError(f"{where}: must be symmetric (h[0,1] != h[1,0])")
+            self.perturbations.append(m)
+            self.gamma_max = max(self.gamma_max, float(size))
         self.absorption_region = absorption_region
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """gamma at many points, shape (npts, 2, 2); no domain check."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.broadcast_to(_IDENTITY, (len(points), 2, 2)).copy()
-        for shape, h in zip(self.geometry.components, self.perturbations):
+        for shape, h in zip(self.components, self.perturbations):
             out[shape.contains(points)] += h
         return out
 
@@ -174,7 +166,6 @@ def _hermitian_eig(mats: np.ndarray, sign: float) -> np.ndarray:
     return (a + d) / 2 + sign * disc
 
 
-@np.errstate(over="ignore")  # an eigenvalue scaled back to inf is above every minimum
 def check_coercivity(fld: AdmittanceField) -> dict:
     """Scan unimodular z for Re(z conj(zeta) . gamma zeta) >= alpha |zeta|^2.
 
@@ -182,20 +173,17 @@ def check_coercivity(fld: AdmittanceField) -> dict:
     I, whatever mesh samples it. For each of the 64 uniformly spaced
     z = exp(i phi_k), alpha(z) is the smallest eigenvalue of the Hermitian
     part of z * gamma over those values; for I that is Re z. Returns the
-    first z with the largest alpha(z). A value with parts of modulus 1 or more
-    is scaled exactly by the power of two that takes them below 1, then back.
+    first z with the largest alpha(z).
 
     Returns
     -------
     dict with keys ``holds`` (alpha > 0), ``alpha`` and ``z``.
     """
     gam = _IDENTITY + np.reshape(fld.perturbations, (-1, 2, 2))
-    exponent = np.maximum(np.frexp(np.abs(gam.view(float)).max(axis=(1, 2)))[1], 0)
     zs = np.exp(2j * np.pi * np.arange(64) / 64)
-    zg = zs[:, None, None, None] * (gam * np.ldexp(1.0, -exponent)[:, None, None])
+    zg = zs[:, None, None, None] * gam
     herm = 0.5 * (zg + np.conj(np.swapaxes(zg, -1, -2)))
-    eigs = np.ldexp(_hermitian_eig(herm, -1.0), exponent)
-    alphas = np.minimum(eigs.min(axis=1, initial=np.inf), zs.real)
+    alphas = np.minimum(_hermitian_eig(herm, -1.0).min(axis=1, initial=np.inf), zs.real)
     best = int(alphas.argmax())
     return {"holds": bool(alphas[best] > 0.0), "alpha": float(alphas[best]),
             "z": complex(zs[best])}
@@ -288,7 +276,8 @@ def parse_scenario(doc: dict) -> AdmittanceField:
          "absorption_region": {"components": [indices]}}         # optional
 
     Every h entry holds four complex numbers written as [re, im] pairs
-    (plain numbers are taken as real); h21 must equal h12.
+    (plain numbers are taken as real); h21 must equal h12, and the largest
+    singular value of I + h must not exceed GAMMA_MAX.
     """
     if not isinstance(doc, dict):
         raise ConfigurationError("scenario: top level must be an object")
@@ -315,7 +304,6 @@ def parse_scenario(doc: dict) -> AdmittanceField:
         if mat[0, 1] != mat[1, 0]:
             raise ConfigurationError(f"{where}.h: not symmetric (h[0][1] != h[1][0])")
         perts.append(mat)
-    geometry = InclusionGeometry(components=shapes)
 
     region = None
     spec = doc.get("absorption_region")
@@ -334,7 +322,7 @@ def parse_scenario(doc: dict) -> AdmittanceField:
             if not 0 <= i < len(shapes):
                 raise ConfigurationError(f"{where}: no inclusion component {i}")
             region.append(i)
-    return AdmittanceField(geometry, perts, absorption_region=region)
+    return AdmittanceField(shapes, perts, absorption_region=region)
 
 
 def load_scenario(path) -> AdmittanceField:

@@ -66,7 +66,7 @@ def test_scenario_path_resolution(tmp_path):
     scen.write_text(json.dumps(SWEEP_DOC))
     cfg_path = write_config(tmp_path, {"scenario": "scen.json"})
     cfg = load_run_config(cfg_path)
-    assert len(cfg.scenario.geometry.components) == 1
+    assert len(cfg.scenario.components) == 1
 
 
 def test_missing_config_file_is_configuration_error(tmp_path, capsys):
@@ -182,6 +182,7 @@ def test_simulate_zero_perturbation(tmp_path, capsys):
     assert max(defects["measured"], defects["background"]) < 1e-10
     # gamma = I everywhere: only the centre and ring 1 are eliminated densely
     assert manifest["diagnostics"]["fem"] == {"rings": 10, "dense_rings": 1}
+    assert manifest["diagnostics"]["gamma_max"] == 1.0
 
 
 def test_simulate_deterministic(tmp_path):
@@ -199,6 +200,7 @@ def test_simulate_deterministic(tmp_path):
     # the disk reaches radius 0.55: triangles with gamma != I touch ring 6 of 10, at radius 0.6
     manifest = json.loads((out1 / "simulate_manifest.json").read_text())
     assert manifest["diagnostics"]["fem"] == {"rings": 10, "dense_rings": 6}
+    assert manifest["diagnostics"]["gamma_max"] == 3.0  # gamma = 3 I inside the disk
 
 
 def test_simulate_seed_override(tmp_path):
@@ -236,13 +238,37 @@ def test_simulate_refuses_overflowing_stiffness(tmp_path, capsys):
     assert not list(out.glob("*.nd"))
 
 
+@pytest.mark.parametrize("contrast", [1e12, 1e20])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "verify"])
+def test_contrast_above_bound_exits_2(tmp_path, capsys, command, contrast):
+    # off-centre, the ring elimination loses about contrast * 1e-16 of the map
+    disk = {"shape": "disk", "center": [0.5, 0.0], "radius": 0.3,
+            "h": [[contrast, 0.0], [0.0, contrast]]}
+    cfg = write_config(tmp_path, {"scenario": {"inclusions": [disk]}, "h_target": 0.1, "N": 8})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "inclusions[0].h" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_simulate_nearly_insulating_inclusion(tmp_path):
+    disk = {"shape": "disk", "center": [0.3, 0.0], "radius": 0.25,
+            "h": [[1e-16 - 1.0, 0.0], [0.0, 1e-16 - 1.0]]}
+    cfg = write_config(tmp_path, {"scenario": {"inclusions": [disk]}, "h_target": 0.1, "N": 8})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+    manifest = json.loads((tmp_path / "x" / "simulate_manifest.json").read_text())
+    assert manifest["diagnostics"]["symmetry_defect"]["measured"] <= 1e-12
+    assert manifest["diagnostics"]["gamma_max"] == 1.0
+
+
 def test_simulate_refuses_inclusion_no_centroid_samples(tmp_path, capsys):
     # gamma = -I on a disk that holds no triangle centroid of the mesh
     bad = {"inclusions": [{"shape": "disk", "center": [0.5, 0.0], "radius": 0.01,
                            "h": [[-2.0, 0.0], [0.0, -2.0]]}]}
     mesh = build_disk_mesh(0.2)
     field = parse_scenario(bad)
-    assert not field.geometry.contains(mesh.vertices[mesh.triangles].mean(axis=1)).any()
+    assert not field.components[0].contains(mesh.vertices[mesh.triangles].mean(axis=1)).any()
     with pytest.raises(SolverError, match="coercivity"):
         assemble_system(mesh, field)
     cfg = write_config(tmp_path, {"scenario": bad, "h_target": 0.2, "N": 4})
@@ -365,6 +391,20 @@ def test_reconstruct_refuses_mixed_runs(small_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{field} is" in err
     assert not (run / "indicator.csv").exists()
+
+
+@pytest.mark.parametrize("order", [6, 10])
+def test_reconstruct_refuses_nd_order_other_than_config(small_run, tmp_path, capsys, order):
+    # no simulate manifest: the ND headers alone record the order
+    _, _, out = small_run
+    run = tmp_path / "order"
+    copy_nd_files(out, run)
+    cfg = write_config(tmp_path, dict(SMALL_RUN, N=order))
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert str(run / "measured.nd") in err and f"config.N is {order}" in err
+    assert not list(run.glob("indicator*"))
 
 
 def test_reconstruct_refuses_undecodable_manifest(small_run, tmp_path, capsys):

@@ -7,7 +7,6 @@ from eitlsm import (
     ConfigurationError,
     Disk,
     FemSystem,
-    InclusionGeometry,
     SolverError,
     add_noise,
     assemble_system,
@@ -25,7 +24,7 @@ from conftest import ANISO_DOC, two_phase_diagonal
 
 
 def background_field():
-    return AdmittanceField(InclusionGeometry(components=[]), [])
+    return AdmittanceField([], [])
 
 
 def cos_field(N, n):
@@ -187,8 +186,8 @@ def test_singular_fourier_block_names_ring_and_block():
 
 
 def test_assembly_refuses_non_coercive_field():
-    geom = InclusionGeometry(components=[Disk(center=(0.0, 0.0), radius=0.3)])
-    hopeless = AdmittanceField(geom, [np.diag([-4.0, -4.0])])  # gamma = -3 I inside
+    # gamma = -3 I inside
+    hopeless = AdmittanceField([Disk(center=(0.0, 0.0), radius=0.3)], [np.diag([-4.0, -4.0])])
     mesh = build_disk_mesh(0.2)
     with pytest.raises(SolverError, match="coercivity"):
         assemble_system(mesh, hopeless)

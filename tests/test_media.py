@@ -6,7 +6,7 @@ from eitlsm import (
     ConfigurationError,
     Disk,
     Ellipse,
-    InclusionGeometry,
+    GAMMA_MAX,
     check_absorption,
     check_coercivity,
     parse_scenario,
@@ -18,8 +18,7 @@ Z_GRID = np.exp(2j * np.pi * np.arange(64) / 64)  # the z values check_coercivit
 
 
 def disk_field(h_matrix, center=(0.0, 0.0), radius=0.3):
-    geom = InclusionGeometry(components=[Disk(center=center, radius=radius)])
-    return AdmittanceField(geom, [h_matrix])
+    return AdmittanceField([Disk(center=center, radius=radius)], [h_matrix])
 
 
 def test_identity_outside_inclusion():
@@ -45,19 +44,46 @@ def test_asymmetric_h_rejected():
         disk_field(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
 
-def test_geometry_clearance_enforced():
-    with pytest.raises(ConfigurationError):
-        InclusionGeometry(components=[Disk(center=(0.8, 0.0), radius=0.25)])
-    geom = InclusionGeometry(components=[Disk(center=(0.4, 0.0), radius=0.25)])
-    assert geom.components[0].outer_radius_from_origin() == pytest.approx(0.65)
+def test_clearance_enforced():
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\]: touches"):
+        disk_field(I2, center=(0.8, 0.0), radius=0.25)
+    fld = disk_field(I2, center=(0.4, 0.0), radius=0.25)
+    assert fld.components[0].outer_radius_from_origin() == pytest.approx(0.65)
 
 
-def test_geometry_disjoint_components_enforced():
-    with pytest.raises(ConfigurationError):
-        InclusionGeometry(components=[
-            Disk(center=(-0.2, 0.0), radius=0.2),
-            Disk(center=(0.15, 0.0), radius=0.2),
-        ])
+def test_disjoint_components_enforced():
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\] and inclusions\[1\]"):
+        AdmittanceField([Disk(center=(-0.2, 0.0), radius=0.2),
+                         Disk(center=(0.15, 0.0), radius=0.2)], [I2, I2])
+
+
+def test_perturbation_count_enforced():
+    with pytest.raises(ConfigurationError, match="1 perturbation entries for 0"):
+        AdmittanceField([], [I2])
+
+
+@pytest.mark.parametrize("h", [
+    1e10 * I2,  # gamma = (1 + 1e10) I, just past the bound
+    1e308 * I2,  # coercive, but its Hermitian parts and element stiffnesses overflow
+    np.full((2, 2), 1.7e308 + 1.7e308j),  # its singular values come out NaN
+    np.diag([np.inf, 1.0]),
+    np.diag([np.nan, 1.0]),
+], ids=["past-bound", "1e308", "nan-singular-values", "inf", "nan"])
+def test_admittance_above_bound_refused(h):
+    with pytest.raises(ConfigurationError, match=r"inclusions\[1\]\.h"):
+        AdmittanceField([Disk(center=(0.4, 0.0), radius=0.2),
+                         Disk(center=(-0.4, 0.0), radius=0.2)], [I2, h])
+
+
+@pytest.mark.parametrize("h,gamma_max", [
+    ((GAMMA_MAX - 1.0) * I2, GAMMA_MAX),  # at the bound
+    ((1e-16 - 1.0) * I2, 1.0),  # nearly insulating: the background is the largest
+    (np.diag([2.0, 0.0]), 3.0),
+])
+def test_admittance_gamma_max(h, gamma_max):
+    fld = disk_field(h)
+    assert fld.gamma_max == gamma_max
+    assert check_coercivity(fld)["holds"]
 
 
 def test_ellipse_membership_with_tilt():
@@ -68,7 +94,7 @@ def test_ellipse_membership_with_tilt():
 
 
 def test_coercivity_identity_exact():
-    fld = AdmittanceField(InclusionGeometry(components=[]), [])
+    fld = AdmittanceField([], [])
     verdict = check_coercivity(fld)
     assert verdict["holds"]
     assert verdict["alpha"] == 1.0
@@ -90,13 +116,6 @@ def test_coercivity_isotropic_alpha(sigma):
     verdict = check_coercivity(fld)
     assert verdict["holds"]
     assert verdict["alpha"] == pytest.approx(min(1.0, sigma), abs=1e-12)
-
-
-def test_coercivity_huge_isotropic_inclusion():
-    # gamma = (1 + 1e308) I is coercive; its Hermitian parts would overflow unscaled
-    verdict = check_coercivity(disk_field(1e308 * I2))
-    assert verdict["holds"]
-    assert verdict["alpha"] == 1.0 and verdict["z"] == 1.0
 
 
 def test_coercivity_absorbing_inclusion():
@@ -145,7 +164,7 @@ def test_absorption_anisotropic_beta():
 
 
 def test_absorption_empty_region_flagged():
-    fld = AdmittanceField(InclusionGeometry(components=[]), [])
+    fld = AdmittanceField([], [])
     verdict = check_absorption(fld)
     assert not verdict["holds"]
     assert "reason" in verdict
@@ -164,7 +183,7 @@ def test_evaluation_is_pure():
 
 def test_parse_scenario_aniso():
     fld = parse_scenario(ANISO_DOC)
-    assert len(fld.geometry.components) == 1
+    assert len(fld.components) == 1
     g = fld.evaluate_batch([(0.2, 0.1)])[0]
     assert g[0, 1] == g[1, 0] == 0.3 - 0.1j
     assert check_coercivity(fld)["holds"]

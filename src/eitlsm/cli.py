@@ -34,7 +34,8 @@ from .forward import (
     save_nd_map,
 )
 from .geometry import BoundaryField, DiskMesh, build_disk_mesh, check_mesh_settings, fourier_modes
-from .media import check_absorption, json_number, load_scenario, parse_scenario
+from .media import (check_absorption, json_number, json_object, load_scenario, parse_scenario,
+                    read_json)
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
     RelativeData,
@@ -88,28 +89,12 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _merge_section(name: str, given: dict, defaults: dict) -> dict:
-    if not isinstance(given, dict):
-        raise ConfigurationError(f"config.{name}: expected an object")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigurationError(f"config.{name}: unknown keys {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
-
-
 def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     """Validate a configuration document; unknown keys are rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config: top level must be an object")
-    unknown = sorted(set(doc) - set(_DEFAULTS))
-    if unknown:
-        raise ConfigurationError(f"config.{unknown[0]}: unknown keys {unknown}")
-    noise = _merge_section("noise", doc.get("noise", {}), _DEFAULTS["noise"])
-    grid = _merge_section("grid", doc.get("grid", {}), _DEFAULTS["grid"])
-    delta = _merge_section("delta_rule", doc.get("delta_rule", {}), _DEFAULTS["delta_rule"])
-    cutoff = _merge_section("cutoff", doc.get("cutoff", {}), _DEFAULTS["cutoff"])
+    json_object(doc, "config", _DEFAULTS)
+    noise, grid, delta, cutoff = (
+        {**_DEFAULTS[name], **json_object(doc.get(name, {}), f"config.{name}", _DEFAULTS[name])}
+        for name in ("noise", "grid", "delta_rule", "cutoff"))
 
     scenario = doc.get("scenario")
     if isinstance(scenario, str):
@@ -134,13 +119,11 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     if seed < 0:
         raise ConfigurationError(f"config.noise.seed: must be >= 0, got {seed}")
     epsilon = json_number(delta["epsilon"], "config.delta_rule.epsilon")
-    if not 0.0 < epsilon < 1.0:  # at or above 1 every sweep point is infeasible-high
-        raise ConfigurationError(f"config.delta_rule.epsilon: must lie in (0, 1), got {epsilon}")
     grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
     if grid["r_max"] < 0.0:  # the library accepts an empty grid; a run on it finds no point
         raise ConfigurationError(f"config.grid.r_max: must be >= 0, got {grid['r_max']}")
     directions = str(top["directions"])
-    check_sweep_settings(grid["spacing"], grid["r_max"], directions, where="config.")
+    check_sweep_settings(grid["spacing"], grid["r_max"], epsilon, directions, where="config.")
     cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
               "q": json_number(cutoff["q"], "config.cutoff.q")}
     check_cutoff(**cutoff, where="config.")
@@ -172,12 +155,8 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # missing, unreadable, not text or not JSON
-        raise ConfigurationError(f"config {path}: cannot read a JSON document ({exc})") from None
-    return parse_run_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_run_config(read_json(path, "config"),
+                            base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def _write_manifest(out_dir: str, mode: str, cfg: RunConfig, extra: dict) -> str:
@@ -245,11 +224,10 @@ def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
     path = os.path.join(out_dir, "simulate_manifest.json")
     if not os.path.exists(path):
         return
+    manifest = read_json(path, "simulate manifest")
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
         simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: not UTF-8 or not JSON
+    except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path}: unreadable simulate manifest ({exc!r})") from None
     for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N)):
         if simulated[name] != value:

@@ -13,7 +13,9 @@ verified numerically:
   subset of the inclusion, checked through the largest eigenvalue of Im h_k
   over the components that make up that subset.
 
-Scenario documents are JSON; parse errors name the offending field.
+``AdmittanceField`` holds every scenario rule. Scenario documents are JSON:
+``parse_scenario`` only converts their types and shapes, and every error,
+from either, names the offending field.
 """
 
 from __future__ import annotations
@@ -48,9 +50,7 @@ class Disk:
     center: tuple[float, float]
     radius: float
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigurationError(f"disk radius must be positive, got {self.radius}")
+    size_field = "radius"  # the positive size AdmittanceField checks
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
@@ -70,10 +70,7 @@ class Ellipse:
     semi_axes: tuple[float, float]
     tilt: float = 0.0
 
-    def __post_init__(self):
-        a, b = self.semi_axes
-        if a <= 0 or b <= 0:
-            raise ConfigurationError(f"ellipse semi-axes must be positive, got {self.semi_axes}")
+    size_field = "semi_axes"
 
     def _local(self, points: np.ndarray) -> np.ndarray:
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
@@ -98,21 +95,24 @@ Shape = Disk | Ellipse
 class AdmittanceField:
     """Admittance gamma(x) = I + h(x) chi_D(x) with anisotropic complex h.
 
-    The one validated value of a scenario: a consumer may take gamma as finite,
-    with every value's largest singular value at most ``GAMMA_MAX``. Errors
-    name a component by its scenario path, ``inclusions[k]``.
+    The one validated value of a scenario and the only home of its rules,
+    for library callers and scenario documents alike: a consumer may take
+    gamma as finite, with every value's largest singular value at most
+    ``GAMMA_MAX``. Errors name a field by its scenario path, such as
+    ``inclusions[k].radius``.
 
     Parameters
     ----------
     components : list of Disk or Ellipse
-        Every component closure lies strictly inside the unit disk, and the
-        components' bounding circles are pairwise disjoint (a conservative
-        separation test).
+        Every radius or semi-axis is positive, every component closure lies
+        strictly inside the unit disk, and the components' bounding circles
+        are pairwise disjoint (a conservative separation test).
     perturbations : list, one entry per component
-        Each entry is a constant finite 2x2 complex symmetric matrix h_k.
+        Each entry is a constant finite 2x2 complex matrix h_k, symmetric
+        exactly: h[0][1] == h[1][0].
     absorption_region : list of component indices or None
-        Components on which the absorption assumption is claimed; None
-        means all of them.
+        Components on which the absorption assumption is claimed, each an
+        integer in [0, len(components)); None means all of them.
     """
 
     def __init__(self, components, perturbations, absorption_region=None):
@@ -121,6 +121,10 @@ class AdmittanceField:
             raise ConfigurationError(f"{len(perturbations)} perturbation entries for "
                                      f"{len(self.components)} inclusion components")
         for k, shape in enumerate(self.components):
+            extent = getattr(shape, shape.size_field)
+            if not np.all(np.asarray(extent) > 0):  # NaN too
+                raise ConfigurationError(f"inclusions[{k}].{shape.size_field}: must be positive, "
+                                         f"got {extent}")
             outer = shape.outer_radius_from_origin()
             if outer >= 1.0:
                 raise ConfigurationError(f"inclusions[{k}]: touches or crosses the unit circle "
@@ -143,11 +147,16 @@ class AdmittanceField:
             if not size <= GAMMA_MAX:  # NaN too
                 raise ConfigurationError(f"{where}: gamma = I + h has largest singular value "
                                          f"{size:.3g}, above the bound {GAMMA_MAX:g}")
-            if abs(m[0, 1] - m[1, 0]) > 1e-12 * max(1.0, float(np.abs(m).max())):
-                raise ConfigurationError(f"{where}: must be symmetric (h[0,1] != h[1,0])")
+            if m[0, 1] != m[1, 0]:
+                raise ConfigurationError(f"{where}: not symmetric (h[0][1] != h[1][0])")
             self.perturbations.append(m)
             self.gamma_max = max(self.gamma_max, float(size))
-        self.absorption_region = absorption_region
+        self.absorption_region = None if absorption_region is None else list(absorption_region)
+        for j, i in enumerate(self.absorption_region or ()):
+            index = isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            if not (index and 0 <= i < len(perturbations)):
+                raise ConfigurationError(f"scenario.absorption_region.components[{j}]: "
+                                         f"no inclusion component {i}")
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """gamma at many points, shape (npts, 2, 2); no domain check."""
@@ -231,6 +240,25 @@ def json_number(value, where: str, integer: bool = False):
     return int(value)
 
 
+def json_object(value, where: str, keys) -> dict:
+    """``value`` as a JSON object whose keys all lie in ``keys``; errors name ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where}: expected an object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ConfigurationError(f"{where}.{unknown[0]}: unknown keys {unknown}")
+    return value
+
+
+def read_json(path, what: str):
+    """The JSON document in file ``path``; errors name ``what`` and the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, unreadable, not text or not JSON
+        raise ConfigurationError(f"{what} {path}: cannot read a JSON document ({exc})") from None
+
+
 def _pair(v, where: str) -> tuple[float, float]:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigurationError(f"{where}: expected a pair of numbers, got {v!r}")
@@ -244,18 +272,12 @@ def _complex_from_json(v, where: str) -> complex:
 
 
 def _shape_from_json(spec, where: str) -> Shape:
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"{where}: expected an object, got {type(spec).__name__}")
-    kind = spec.get("shape")
-    known = {
-        "disk": {"shape", "center", "radius"},
-        "ellipse": {"shape", "center", "semi_axes", "tilt"},
-    }
+    known = {"disk": {"shape", "center", "radius", "h"},
+             "ellipse": {"shape", "center", "semi_axes", "tilt", "h"}}
+    kind = json_object(spec, where, known["disk"] | known["ellipse"]).get("shape")
     if not (isinstance(kind, str) and kind in known):
         raise ConfigurationError(f"{where}.shape: expected 'disk' or 'ellipse', got {kind!r}")
-    extra = set(spec) - known[kind] - {"h"}
-    if extra:
-        raise ConfigurationError(f"{where}: unknown keys {sorted(extra)}")
+    json_object(spec, where, known[kind])
     for key in sorted(known[kind] - {"tilt"}):
         if key not in spec:
             raise ConfigurationError(f"{where}.{key}: missing")
@@ -276,14 +298,11 @@ def parse_scenario(doc: dict) -> AdmittanceField:
          "absorption_region": {"components": [indices]}}         # optional
 
     Every h entry holds four complex numbers written as [re, im] pairs
-    (plain numbers are taken as real); h21 must equal h12, and the largest
-    singular value of I + h must not exceed GAMMA_MAX.
+    (plain numbers are taken as real). This converts JSON types and shapes
+    only; ``AdmittanceField`` applies the scenario rules (h21 == h12, the
+    GAMMA_MAX bound, placement and the absorption indices).
     """
-    if not isinstance(doc, dict):
-        raise ConfigurationError("scenario: top level must be an object")
-    extra = set(doc) - {"inclusions", "absorption_region"}
-    if extra:
-        raise ConfigurationError(f"scenario: unknown keys {sorted(extra)}")
+    json_object(doc, "scenario", ("inclusions", "absorption_region"))
     inclusions = doc.get("inclusions", [])
     if not isinstance(inclusions, list):
         raise ConfigurationError("scenario.inclusions: expected a list")
@@ -291,45 +310,24 @@ def parse_scenario(doc: dict) -> AdmittanceField:
     for k, entry in enumerate(inclusions):
         where = f"inclusions[{k}]"
         shapes.append(_shape_from_json(entry, where))
-        if "h" not in entry:
-            raise ConfigurationError(f"{where}.h: missing")
         hm = entry["h"]
         if not (isinstance(hm, list) and len(hm) == 2
                 and all(isinstance(r, list) and len(r) == 2 for r in hm)):
             raise ConfigurationError(f"{where}.h: expected a 2x2 matrix")
-        mat = np.array(
-            [[_complex_from_json(hm[i][j], f"{where}.h[{i}][{j}]") for j in range(2)]
-             for i in range(2)]
-        )
-        if mat[0, 1] != mat[1, 0]:
-            raise ConfigurationError(f"{where}.h: not symmetric (h[0][1] != h[1][0])")
-        perts.append(mat)
+        perts.append([[_complex_from_json(hm[i][j], f"{where}.h[{i}][{j}]") for j in range(2)]
+                      for i in range(2)])
 
     region = None
     spec = doc.get("absorption_region")
     if spec is not None:
-        if not isinstance(spec, dict):
-            raise ConfigurationError("scenario.absorption_region: expected an object")
-        extra = set(spec) - {"components"}
-        if extra:
-            raise ConfigurationError(f"scenario.absorption_region: unknown keys {sorted(extra)}")
+        json_object(spec, "scenario.absorption_region", ("components",))
         if not isinstance(spec.get("components"), list):
             raise ConfigurationError("scenario.absorption_region.components: expected a list")
-        region = []
-        for j, item in enumerate(spec["components"]):
-            where = f"scenario.absorption_region.components[{j}]"
-            i = json_number(item, where, integer=True)
-            if not 0 <= i < len(shapes):
-                raise ConfigurationError(f"{where}: no inclusion component {i}")
-            region.append(i)
+        region = [json_number(item, f"scenario.absorption_region.components[{j}]", integer=True)
+                  for j, item in enumerate(spec["components"])]
     return AdmittanceField(shapes, perts, absorption_region=region)
 
 
 def load_scenario(path) -> AdmittanceField:
     """Parse a scenario JSON file; errors cite the file or the offending field."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # missing, unreadable, not text or not JSON
-        raise ConfigurationError(f"scenario {path}: cannot read a JSON document ({exc})") from None
-    return parse_scenario(doc)
+    return parse_scenario(read_json(path, "scenario"))

@@ -299,9 +299,11 @@ _DIRECTION_SETS = {
 R_MAX = 0.9
 
 
-def check_sweep_settings(spacing: float, r_max: float, directions: str, where: str = "") -> None:
-    """Refuse a grid or direction strategy that ``indicator_map`` cannot use; messages
-    name the setting as the run configuration does (``grid.r_max``) after ``where``."""
+def check_sweep_settings(spacing: float, r_max: float, epsilon: float, directions: str,
+                         where: str = "") -> None:
+    """Refuse a grid, discrepancy factor or direction strategy that ``indicator_map``
+    cannot use; messages name the setting as the run configuration does
+    (``grid.r_max``) after ``where``."""
     if spacing <= 0.0:
         raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
     # the lattice has (2k + 1)^2 cells, k = floor(r_max / spacing): over 10^6 when
@@ -315,6 +317,8 @@ def check_sweep_settings(spacing: float, r_max: float, directions: str, where: s
     if directions not in _DIRECTION_SETS:
         raise ConfigurationError(f"{where}directions: unknown strategy {directions!r}; "
                                  f"choose from {sorted(_DIRECTION_SETS)}")
+    if not 0.0 < epsilon < 1.0:  # at or above 1, delta >= ||phi_y||: every point infeasible-high
+        raise ConfigurationError(f"{where}delta_rule.epsilon: must lie in (0, 1), got {epsilon}")
 
 
 def check_cutoff(rule: str, c: float, q: float, where: str = "") -> None:
@@ -393,9 +397,7 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
         epsilon = float(delta_rule["epsilon"])
     except KeyError:
         raise ConfigurationError("delta_rule is missing key 'epsilon'") from None
-    check_sweep_settings(spacing, r_max, directions)
-    if not 0.0 < epsilon < 1.0:  # at or above 1, delta >= ||phi_y||: every point infeasible-high
-        raise ConfigurationError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_sweep_settings(spacing, r_max, epsilon, directions)
     dirs = _DIRECTION_SETS[directions]
     pts = grid_points(spacing, r_max)
     n_pts = len(pts)

@@ -123,6 +123,8 @@ def _ellipse(**fields):
     ({"measured_path": "/tmp/run/mask.csv"}, [], "config.measured_path"),
     ({"background_path": "sub/../../b.nd"}, [], "config.background_path"),
     ({"measured_path": "sub/.."}, [], "config.measured_path"),
+    (_disk(radius=-0.25), [], "inclusions[0].radius"),
+    (_ellipse(semi_axes=[0.3, -0.2]), [], "inclusions[0].semi_axes"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)

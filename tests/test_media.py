@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,33 @@ def test_constant_isotropic_contrast():
 def test_asymmetric_h_rejected():
     with pytest.raises(ConfigurationError):
         disk_field(np.array([[1.0, 0.2], [0.3, 1.0]]))
+
+
+def test_symmetry_is_exact():
+    # one ulp off symmetric: refused by the library and by the scenario parser alike
+    h = [[1.0, 1.0], [1.0 + 2**-52, 1.0]]
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\]\.h"):
+        disk_field(np.array(h))
+    doc = {"inclusions": [{"shape": "disk", "center": [0.0, 0.0], "radius": 0.3, "h": h}]}
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\]\.h"):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_absorption_index_outside_components_refused(index):
+    with pytest.raises(ConfigurationError,
+                       match=r"scenario\.absorption_region\.components\[0\]"):
+        AdmittanceField([Disk(center=(0.0, 0.0), radius=0.3)], [I2], absorption_region=[index])
+
+
+@pytest.mark.parametrize("kind,size,field", [
+    (Disk, {"radius": -0.25}, "inclusions[1].radius"),
+    (Ellipse, {"semi_axes": (0.3, 0.0)}, "inclusions[1].semi_axes"),
+])
+def test_non_positive_size_refused(kind, size, field):
+    with pytest.raises(ConfigurationError, match=re.escape(field)):
+        AdmittanceField([Disk(center=(-0.5, 0.0), radius=0.2), kind(center=(0.3, 0.0), **size)],
+                        [I2, I2])
 
 
 def test_clearance_enforced():

@@ -129,7 +129,9 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     check_cutoff(**cutoff, where="config.")
     taken = set(_RUN_FILES)
     for key in ("measured_path", "background_path"):
-        path = os.path.normpath(str(top[key]))
+        if not isinstance(top[key], str):
+            raise ConfigurationError(f"config.{key}: expected a string, got {top[key]!r}")
+        path = os.path.normpath(top[key])
         if os.path.isabs(path) or path.split(os.sep)[0] in (os.curdir, os.pardir):
             raise ConfigurationError(
                 f"config.{key}: {top[key]!r} is not a path inside the output directory")
@@ -148,8 +150,8 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
         epsilon=epsilon,
         cutoff=cutoff,
         directions=directions,
-        measured_path=str(top["measured_path"]),
-        background_path=str(top["background_path"]),
+        measured_path=top["measured_path"],
+        background_path=top["background_path"],
         raw=doc,
     )
 

@@ -9,7 +9,9 @@ absorbed by working in zero-mean Fourier coordinates throughout.
 On the unit disk that trace has a closed form, ``disk_dipole_traces``,
 which is what the sweep uses. ``SingularTraceComputer`` computes the same
 traces through the background FEM system of a mesh; it is the reference
-that the oracle checks and the tests compare against.
+that the oracle checks and the tests compare against. Both, like
+``DipoleSpec``, refuse a NaN location or one outside |y| < 1 (|y| <= 1 -
+2 h_target for the FEM traces), and a zero or non-finite direction.
 
 Layer densities live on an auxiliary circle of radius R > 1 enclosing the
 body. The boundary normal derivative of their single layer (logarithmic
@@ -41,6 +43,20 @@ __all__ = [
 ]
 
 
+def _unit_dipoles(ys, dirs, inside=lambda r: r < 1.0, region="strictly inside the unit disk"):
+    """(B, 2) locations, each y with ``inside(|y|)`` true (never so for NaN), and
+    unit directions of a dipole batch; ``region`` names the rule on y."""
+    ys = np.asarray(ys, dtype=float).reshape(-1, 2)
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 2)
+    ok = inside(np.hypot(ys[:, 0], ys[:, 1]))
+    if not ok.all():
+        raise ConfigurationError(f"dipole location {ys[ok.argmin()].tolist()} is not {region}")
+    norm = np.hypot(dirs[:, 0], dirs[:, 1])
+    if not (np.isfinite(norm) & (norm > 0.0)).all():
+        raise ConfigurationError("a dipole direction is zero or not finite")
+    return ys, dirs / norm[:, None]
+
+
 @dataclass
 class DipoleSpec:
     """Dipole source location y (strictly interior) and unit direction."""
@@ -49,15 +65,8 @@ class DipoleSpec:
     direction: tuple[float, float]
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        d = np.asarray(self.direction, dtype=float)
-        if np.hypot(*y) >= 1.0:
-            raise ConfigurationError(f"dipole location {tuple(y)} is not interior")
-        norm = np.hypot(*d)
-        if norm == 0.0:
-            raise ConfigurationError("dipole direction must be nonzero")
-        self.y = (float(y[0]), float(y[1]))
-        self.direction = (float(d[0] / norm), float(d[1] / norm))
+        (y,), (d,) = _unit_dipoles(self.y, self.direction)  # one dipole, each a pair
+        self.y, self.direction = tuple(y.tolist()), tuple(d.tolist())
 
 
 @dataclass
@@ -99,20 +108,6 @@ class AuxCircle:
             )
 
 
-def _dipole_fields(bpts: np.ndarray, ys: np.ndarray, dirs: np.ndarray):
-    """a . Psi(x - y) and its outward normal derivative at points of the unit circle.
-
-    For a batch of (y, a); each array has shape (B, nb). With nu = x on |x| = 1
-    the derivative is -(1/2pi) [ nu.a / r^2 - 2 (nu.(x-y)) (a.(x-y)) / r^4 ].
-    """
-    d = bpts[None, :, :] - ys[:, None, :]
-    r2 = np.einsum("bki,bki->bk", d, d)
-    ad = np.einsum("bki,bi->bk", d, dirs)
-    nd = np.einsum("ki,bki->bk", bpts, d)
-    na = np.einsum("ki,bi->bk", bpts, dirs)
-    return -ad / (2.0 * np.pi * r2), -(na / r2 - 2.0 * nd * ad / r2**2) / (2.0 * np.pi)
-
-
 class SingularTraceComputer:
     """Boundary traces of dipole singular solutions on a fixed mesh.
 
@@ -129,37 +124,29 @@ class SingularTraceComputer:
         self.N = N
         system = assemble_system(mesh, AdmittanceField([], []))
         self._response = self._projector @ system.boundary_solve(np.eye(mesh.n_boundary))
-        self._clearance = 2.0 * mesh.h_target
-
-    def _check_interior(self, ys: np.ndarray) -> None:
-        rad = np.hypot(ys[:, 0], ys[:, 1])
-        limit = 1.0 - self._clearance
-        if (rad > limit).any():
-            worst = float(rad.max())
-            raise ConfigurationError(
-                f"dipole location at radius {worst:.4g} is closer than 2*h_target "
-                f"= {self._clearance:.4g} to the boundary; the trace would be inaccurate"
-            )
 
     def trace_batch(self, ys, dirs) -> np.ndarray:
         """Fourier coefficients of phi_y for each (y, direction); shape (B, 2N).
 
-        phi_y is the free-space dipole field on the boundary minus the
-        background trace of its (mean-free) Neumann data.
+        phi_y is the free-space dipole field a . Psi(x - y) on the boundary
+        minus the background trace of its Neumann data, made mean-free. With
+        nu = x on |x| = 1 that data, the outward normal derivative of the
+        field, is -(1/2pi) [ nu.a / r^2 - 2 (nu.(x-y)) (a.(x-y)) / r^4 ].
+        Locations need |y| <= 1 - 2*h_target.
         """
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-        dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        self._check_interior(ys)
-        mesh = self.mesh
-        bpts = mesh.vertices[mesh.boundary]
-        w, g = _dipole_fields(bpts, ys, dirs)
-        g = g - g.mean(axis=1, keepdims=True)  # admissible (zero-mean) currents
-        return w @ self._projector.T - g @ self._response.T
-
-    def trace(self, spec: DipoleSpec) -> BoundaryField:
-        coeffs = self.trace_batch([spec.y], [spec.direction])[0]
-        return BoundaryField(coeffs=coeffs, N=self.N, smoothness=0.5)
+        limit = 1.0 - 2.0 * self.mesh.h_target
+        ys, dirs = _unit_dipoles(ys, dirs, lambda r: r <= limit,
+                                 f"at radius <= 1 - 2*h_target = {limit:.4g}, where "
+                                 "the trace is accurate")
+        bpts = self.mesh.vertices[self.mesh.boundary]
+        d = bpts[None, :, :] - ys[:, None, :]
+        r2 = np.einsum("bki,bki->bk", d, d)
+        ad = np.einsum("bki,bi->bk", d, dirs)
+        nd = np.einsum("ki,bki->bk", bpts, d)
+        na = np.einsum("ki,bi->bk", bpts, dirs)
+        g = -(na / r2 - 2.0 * nd * ad / r2**2) / (2.0 * np.pi)
+        g -= g.mean(axis=1, keepdims=True)  # admissible (zero-mean) currents
+        return (-ad / (2.0 * np.pi * r2)) @ self._projector.T - g @ self._response.T
 
 
 def disk_dipole_traces(ys, dirs, N: int) -> np.ndarray:
@@ -168,15 +155,12 @@ def disk_dipole_traces(ys, dirs, N: int) -> np.ndarray:
     With the unit direction a = a1 + i a2 and y = y1 + i y2, the trace that
     ``SingularTraceComputer.trace_batch`` approximates on a mesh is
     c_n = -(1/2pi) conj(a) conj(y)^(n-1) for n > 0 and
-    c_n = -(1/2pi) a y^(|n|-1) for n < 0. Locations with |y| >= 1 are refused.
+    c_n = -(1/2pi) a y^(|n|-1) for n < 0. Locations need |y| < 1.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    if not (np.hypot(ys[:, 0], ys[:, 1]) < 1.0).all():
-        raise ConfigurationError("a dipole location is not strictly inside the unit disk")
+    ys, dirs = _unit_dipoles(ys, dirs)
     y = ys[:, 0] + 1j * ys[:, 1]
     out = np.empty((len(ys), 2 * N), dtype=complex)
-    out[:, N - 1] = (dirs[:, 0] + 1j * dirs[:, 1]) / (-2.0 * np.pi * np.hypot(*dirs.T))
+    out[:, N - 1] = (dirs[:, 0] + 1j * dirs[:, 1]) / (-2.0 * np.pi)
     # mode -k holds a y^(k-1) / (-2pi) in column N - k, each column y times the next
     for k in range(N - 2, -1, -1):
         np.multiply(out[:, k + 1], y, out=out[:, k])
@@ -192,7 +176,8 @@ def singular_trace(mesh: DiskMesh, spec: DipoleSpec, N: int) -> BoundaryField:
     coefficients (smoothness +1/2). For repeated calls on one mesh use
     :class:`SingularTraceComputer` directly: it forms that operator once.
     """
-    return SingularTraceComputer(mesh, N).trace(spec)
+    coeffs = SingularTraceComputer(mesh, N).trace_batch([spec.y], [spec.direction])[0]
+    return BoundaryField(coeffs=coeffs, N=N, smoothness=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -299,18 +299,24 @@ _DIRECTION_SETS = {
 R_MAX = 0.9
 
 
+def _lattice_half_width(spacing: float, r_max: float, where: str = "") -> int:
+    """k of the (2k + 1)^2-cell lattice of pitch ``spacing`` covering |y| <= r_max;
+    refuses a spacing that is not positive or gives over 10^6 cells (k >= 500)."""
+    if not spacing > 0.0:
+        raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
+    k = r_max / spacing + 1e-9  # a float until bounded: it may overflow an int or be inf
+    if not k < 500:
+        raise ConfigurationError(f"{where}grid.spacing: {spacing} gives a lattice of over "
+                                 f"10^6 cells for r_max {r_max}")
+    return math.floor(k)
+
+
 def check_sweep_settings(spacing: float, r_max: float, epsilon: float, directions: str,
                          where: str = "") -> None:
     """Refuse a grid, discrepancy factor or direction strategy that ``indicator_map``
     cannot use; messages name the setting as the run configuration does
     (``grid.r_max``) after ``where``."""
-    if spacing <= 0.0:
-        raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
-    # the lattice has (2k + 1)^2 cells, k = floor(r_max / spacing): over 10^6 when
-    # k >= 500. The quotient stays a float, since it may overflow an int or be inf.
-    if r_max / spacing + 1e-9 >= 500:
-        raise ConfigurationError(f"{where}grid.spacing: {spacing} gives a lattice of over "
-                                 f"10^6 cells for r_max {r_max}")
+    _lattice_half_width(spacing, r_max, where)
     if r_max > R_MAX:
         raise ConfigurationError(
             f"{where}grid.r_max: must be <= {R_MAX}, got {r_max}")
@@ -356,9 +362,7 @@ class IndicatorMap:
 
 def grid_points(spacing: float, r_max: float) -> np.ndarray:
     """Square lattice of pitch ``spacing`` clipped to the disk |y| <= r_max."""
-    if spacing <= 0.0:
-        raise ConfigurationError(f"grid spacing must be positive, got {spacing}")
-    k = int(math.floor(r_max / spacing + 1e-9))
+    k = _lattice_half_width(spacing, r_max)
     i, j = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1), indexing="ij")
     pts = np.column_stack([i.ravel() * spacing, j.ravel() * spacing])
     return pts[np.hypot(pts[:, 0], pts[:, 1]) <= r_max + 1e-12]
@@ -512,15 +516,14 @@ def write_indicator_pgm(imap: IndicatorMap, path) -> None:
     outside the sweep disk or infeasible render black. The scaling is
     deterministic (min/max of the finite feasible values).
     """
-    spacing, r_max = imap.spacing, imap.r_max
-    k = int(math.floor(r_max / spacing + 1e-9))
+    k = _lattice_half_width(imap.spacing, imap.r_max)
     size = 2 * k + 1
     img = np.zeros((size, size), dtype=int)
     shown = imap.feasible & (imap.indicator > 0)
     if shown.any():
         logs = np.log10(imap.indicator[shown])
         lo, hi = logs.min(), logs.max()
-        col, row = np.rint(imap.points[shown] / spacing).astype(int).T
+        col, row = np.rint(imap.points[shown] / imap.spacing).astype(int).T
         img[k - row, col + k] = 1 + np.rint((logs - lo) / (hi - lo if hi > lo else 1.0) * 254)
     with open(path, "w", newline="") as fh:
         np.savetxt(fh, img, fmt="%d", header=f"P2\n{size} {size}\n255", comments="")

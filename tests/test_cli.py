@@ -125,6 +125,14 @@ def _ellipse(**fields):
     ({"measured_path": "sub/.."}, [], "config.measured_path"),
     (_disk(radius=-0.25), [], "inclusions[0].radius"),
     (_ellipse(semi_axes=[0.3, -0.2]), [], "inclusions[0].semi_axes"),
+    ({"measured_path": None}, [], "config.measured_path"),
+    ({"background_path": 7}, [], "config.background_path"),
+    ({"measured_path": ["a"]}, [], "config.measured_path"),
+    ({"h_target": float("nan")}, [], "config.h_target"),
+    ({"h_target": 10**400}, [], "config.h_target"),
+    (_disk(shape="triangle"), [], "inclusions[0].shape"),
+    (_disk(h=[[1.0, 0.0]]), [], "inclusions[0].h"),
+    ({}, ["--threads", "0"], "--threads"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)
@@ -414,6 +422,17 @@ def test_reconstruct_refuses_undecodable_manifest(small_run, tmp_path, capsys):
     run = tmp_path / "binary"
     copy_nd_files(out, run)
     (run / "simulate_manifest.json").write_bytes(b"\xff\xfe{")
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(run / "simulate_manifest.json") in err
+    assert not (run / "indicator.csv").exists()
+
+
+def test_reconstruct_refuses_manifest_without_mesh(small_run, tmp_path, capsys):
+    _, cfg, out = small_run
+    run = tmp_path / "empty"
+    copy_nd_files(out, run)
+    (run / "simulate_manifest.json").write_text("{}")
     assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and str(run / "simulate_manifest.json") in err

@@ -121,6 +121,26 @@ def test_disk_dipole_traces_refuse_non_interior():
     assert disk_dipole_traces((0.99, 0.0), (1.0, 0.0), 4).shape == (1, 8)
 
 
+@pytest.fixture(scope="module")
+def coarse_computer():
+    return SingularTraceComputer(build_disk_mesh(0.1), N=4)
+
+
+@pytest.mark.parametrize("call,pattern", [
+    (lambda comp: DipoleSpec(y=(np.nan, 0.0), direction=(1.0, 0.0)), "dipole location"),
+    (lambda comp: comp.trace_batch([(np.nan, 0.0)], [(1.0, 0.0)]), "dipole location"),
+    (lambda comp: comp.trace_batch([(0.1, 0.0)], [(0.0, 0.0)]), "dipole direction"),
+    (lambda comp: disk_dipole_traces([(0.1, 0.0)], [(0.0, 0.0)], 4), "dipole direction"),
+    (lambda comp: disk_dipole_traces([(0.1, 0.0), (0.2, 0.0)], [(1.0, 0.0), (np.inf, 0.0)], 4),
+     "dipole direction"),
+], ids=["spec-nan-location", "fem-nan-location", "fem-zero-direction",
+        "disk-zero-direction", "disk-inf-direction"])
+def test_dipole_checks_refuse_nan_locations_and_degenerate_directions(coarse_computer, call,
+                                                                       pattern):
+    with pytest.raises(ConfigurationError, match=pattern):
+        call(coarse_computer)
+
+
 def test_dipole_too_close_to_boundary():
     mesh = build_disk_mesh(0.1)
     with pytest.raises(ConfigurationError, match="2\\*h_target"):

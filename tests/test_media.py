@@ -84,6 +84,9 @@ def test_disjoint_components_enforced():
     with pytest.raises(ConfigurationError, match=r"inclusions\[0\] and inclusions\[1\]"):
         AdmittanceField([Disk(center=(-0.2, 0.0), radius=0.2),
                          Disk(center=(0.15, 0.0), radius=0.2)], [I2, I2])
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\] and inclusions\[1\]"):
+        AdmittanceField([Ellipse(center=(-0.1, 0.0), semi_axes=(0.3, 0.2)),
+                         Ellipse(center=(0.2, 0.1), semi_axes=(0.25, 0.15))], [I2, I2])
 
 
 def test_perturbation_count_enforced():

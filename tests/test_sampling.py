@@ -343,6 +343,13 @@ def test_grid_points_geometry():
     assert len(grid_points(0.1, -1.0)) == 0
 
 
+@pytest.mark.parametrize("spacing", [float("nan"), 0.9 / 600], ids=["nan", "over-1e6-cells"])
+def test_grid_points_refuses_spacing(spacing):
+    # 0.9 / 600 would give 1,130,913 points, past the bound the sweep settings enforce
+    with pytest.raises(ConfigurationError, match=r"grid\.spacing"):
+        grid_points(spacing, 0.9)
+
+
 def test_indicator_map_empty_grid(mesh05, concentric_nd05, background_nd05):
     data = make_relative_data(concentric_nd05, background_nd05)
     imap = indicator_map(data, mesh05, {"spacing": 0.1, "r_max": -1.0}, {"epsilon": 0.01})

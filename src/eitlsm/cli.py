@@ -1,9 +1,9 @@
 """Command-line front end: simulate, reconstruct, verify.
 
-A run is described by a JSON configuration document (unknown keys are
-rejected so typos fail loudly) plus a handful of flag overrides. Every
-simulate/reconstruct run writes a manifest echoing the configuration,
-the seeds and the assumption-check verdicts, which is sufficient to
+A run is described by a JSON configuration document alone (unknown keys are
+rejected so typos fail loudly) and writes files of fixed names in ``--out``,
+``measured.nd`` and ``background.nd`` among them, with a manifest echoing the
+configuration and the assumption-check verdicts, which is sufficient to
 reproduce the outputs bit for bit.
 
 Exit codes: 0 success, 1 verification or feasibility failure,
@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification or feasibility failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -64,16 +65,13 @@ _DEFAULTS = {
     "delta_rule": {"epsilon": 0.01},
     "cutoff": {"rule": "multiplier", "c": DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1},
     "directions": "max-xy",
-    "measured_path": "measured.nd",
-    "background_path": "background.nd",
 }
 
-# the files simulate and reconstruct write beside the two ND files
-_RUN_FILES = ("simulate_manifest.json", "reconstruct_manifest.json", "indicator.csv",
-              "mask.csv", "indicator.pgm", "indicator_infeasible.csv")
+# the measured and background ND maps in the output directory
+_ND_FILES = ("measured.nd", "background.nd")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scenario: object
     h_target: float
@@ -84,8 +82,6 @@ class RunConfig:
     epsilon: float
     cutoff: dict
     directions: str
-    measured_path: str
-    background_path: str
     raw: dict = field(default_factory=dict)
 
 
@@ -127,18 +123,6 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
               "q": json_number(cutoff["q"], "config.cutoff.q")}
     check_cutoff(**cutoff, where="config.")
-    taken = set(_RUN_FILES)
-    for key in ("measured_path", "background_path"):
-        if not isinstance(top[key], str):
-            raise ConfigurationError(f"config.{key}: expected a string, got {top[key]!r}")
-        path = os.path.normpath(top[key])
-        if os.path.isabs(path) or path.split(os.sep)[0] in (os.curdir, os.pardir):
-            raise ConfigurationError(
-                f"config.{key}: {top[key]!r} is not a path inside the output directory")
-        if path in taken:
-            raise ConfigurationError(
-                f"config.{key}: {top[key]!r} collides with another file the runs write")
-        taken.add(path)
 
     return RunConfig(
         scenario=scenario_field,
@@ -150,8 +134,6 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
         epsilon=epsilon,
         cutoff=cutoff,
         directions=directions,
-        measured_path=top["measured_path"],
-        background_path=top["background_path"],
         raw=doc,
     )
 
@@ -181,11 +163,10 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     """Simulate ND data: measured (optionally noisy) + background + manifest."""
     check_mesh_settings(cfg.h_target, cfg.N, where="config.")
     os.makedirs(out_dir, exist_ok=True)
-    measured_path = os.path.join(out_dir, cfg.measured_path)
-    background_path = os.path.join(out_dir, cfg.background_path)
+    measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
     for path in (measured_path, background_path):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
-            raise ConfigurationError(f"{path}: not a file name in an existing directory")
+        if os.path.isdir(path):
+            raise ConfigurationError(f"{path}: a directory where simulate writes an ND file")
     mesh = build_disk_mesh(cfg.h_target)
     absorption = check_absorption(cfg.scenario)
     system = assemble_system(mesh, cfg.scenario)  # refuses if coercivity fails
@@ -215,7 +196,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
                                             "background": background.symmetry_defect()},
                         "fem": {"rings": len(mesh.ring_starts) - 2, "dense_rings": system.dense_rings},
                         "gamma_max": cfg.scenario.gamma_max},
-        "files": [os.path.basename(measured_path), os.path.basename(background_path)],
+        "files": list(_ND_FILES),
     })
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
 
@@ -245,8 +226,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     check_mesh_settings(cfg.h_target, cfg.N, where="config.")
     os.makedirs(out_dir, exist_ok=True)
     _check_simulated_with(cfg, out_dir)
-    measured_path = os.path.join(out_dir, cfg.measured_path)
-    background_path = os.path.join(out_dir, cfg.background_path)
+    measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
     measured, background = load_nd_map(measured_path), load_nd_map(background_path)
     for path, nd in ((measured_path, measured), (background_path, background)):
         if nd.N != cfg.N:
@@ -384,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--threads", type=int,
                        help="accepted for compatibility; has no effect")
-        p.add_argument("--seed", type=int, help="override the noise seed")
     return parser
 
 
@@ -397,10 +376,6 @@ def main(argv=None) -> int:
             cfg = parse_run_config({})
         if args.threads is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-            cfg.noise_seed = args.seed
 
         if args.command == "simulate":
             paths = run_simulate(cfg, args.out)
@@ -422,5 +397,7 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def console_main() -> int:
+    """``main`` with start-up's objects frozen, so the collection at exit skips them."""
+    gc.freeze()
+    return main()

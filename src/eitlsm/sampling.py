@@ -301,9 +301,12 @@ R_MAX = 0.9
 
 def _lattice_half_width(spacing: float, r_max: float, where: str = "") -> int:
     """k of the (2k + 1)^2-cell lattice of pitch ``spacing`` covering |y| <= r_max;
-    refuses a spacing that is not positive or gives over 10^6 cells (k >= 500)."""
+    refuses a spacing that is not positive or gives over 10^6 cells (k >= 500), and
+    an r_max that is not finite."""
     if not spacing > 0.0:
         raise ConfigurationError(f"{where}grid.spacing: must be positive, got {spacing}")
+    if not math.isfinite(r_max):
+        raise ConfigurationError(f"{where}grid.r_max: must be finite, got {r_max}")
     k = r_max / spacing + 1e-9  # a float until bounded: it may overflow an int or be inf
     if not k < 500:
         raise ConfigurationError(f"{where}grid.spacing: {spacing} gives a lattice of over "

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -98,7 +99,7 @@ def _ellipse(**fields):
     ({"grid": {"spacing": "x"}}, [], "config.grid.spacing"),
     ({"threads": "two"}, [], "config.threads"),
     ({"cutoff": {"c": "x"}}, [], "config.cutoff.c"),
-    ({}, ["--seed", "-1"], "--seed"),
+    ({"measured_path": "measured.nd"}, [], "config.measured_path"),
     (_disk(radius="big"), [], "inclusions[0].radius"),
     (_ellipse(semi_axes=3), [], "inclusions[0].semi_axes"),
     (_ellipse(tilt="steep"), [], "inclusions[0].tilt"),
@@ -142,15 +143,22 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, fie
     assert not (tmp_path / "run").exists()
 
 
+def test_seed_flag_refused(capsys):
+    # the noise seed is config.noise.seed alone
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_2_naming_path(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
-    cfg = write_config(tmp_path, {"h_target": 0.2, "N": 4, "measured_path": "sub/m.nd"})
-    for out, path in ((taken, taken), (tmp_path / "run", tmp_path / "run" / "sub" / "m.nd")):
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error") and str(path) in err
-        assert "Traceback" not in err
+    cfg = write_config(tmp_path, {"h_target": 0.2, "N": 4})
+    assert main(["simulate", "--config", cfg, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and str(taken) in err
+    assert "Traceback" not in err
 
 
 def test_unwritable_nd_path_refused_before_the_mesh(tmp_path, capsys, monkeypatch):
@@ -158,12 +166,12 @@ def test_unwritable_nd_path_refused_before_the_mesh(tmp_path, capsys, monkeypatc
         raise AssertionError("simulate built a mesh before checking its output paths")
 
     monkeypatch.setattr(cli, "build_disk_mesh", refuse)
-    (tmp_path / "run" / "taken").mkdir(parents=True)
-    for name in ("sub/b.nd", "taken"):
-        cfg = write_config(tmp_path, {"background_path": name})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    for name in ("background.nd", "measured.nd"):
+        run = tmp_path / name.split(".")[0]
+        (run / name).mkdir(parents=True)
+        assert main(["simulate", "--out", str(run)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error") and str(tmp_path / "run" / name) in err
+        assert err.startswith("configuration error") and str(run / name) in err
 
 
 def test_reconstruct_refuses_aliasing_order_before_work(tmp_path, capsys):
@@ -213,17 +221,18 @@ def test_simulate_deterministic(tmp_path):
     assert manifest["diagnostics"]["gamma_max"] == 3.0  # gamma = 3 I inside the disk
 
 
-def test_simulate_seed_override(tmp_path):
-    cfg = write_config(tmp_path, {
-        "scenario": SWEEP_DOC, "h_target": 0.1, "N": 6,
-        "noise": {"level": 0.01, "seed": 42},
-    })
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["simulate", "--config", cfg, "--out", str(out1)])
-    main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "43"])
-    a = load_nd_map(out1 / "measured.nd")
-    b = load_nd_map(out2 / "measured.nd")
-    assert not np.array_equal(a.matrix, b.matrix)
+def test_simulate_noise_seed_from_config(tmp_path):
+    maps = []
+    for seed in (42, 43):
+        noise = {"level": 0.01, "seed": seed}
+        cfg = write_config(tmp_path, {"scenario": SWEEP_DOC, "h_target": 0.1, "N": 6,
+                                      "noise": noise}, f"seed{seed}.json")
+        out = tmp_path / f"seed{seed}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        maps.append(load_nd_map(out / "measured.nd").matrix)
+        manifest = json.loads((out / "simulate_manifest.json").read_text())
+        assert manifest["config"]["noise"] == noise and manifest["noise"] == noise
+    assert not np.array_equal(*maps)
 
 
 def test_simulate_refuses_non_coercive(tmp_path, capsys):
@@ -475,6 +484,17 @@ def test_reconstruct_refuses_overflowing_nd_entry(small_run, tmp_path, capsys):
     assert err.startswith("configuration error")
     assert str(run / "measured.nd") in err and str(run / "background.nd") in err
     assert not list(run.glob("indicator*.csv"))
+
+
+def test_console_entry_freezes_and_main_does_not(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, {"h_target": 0.2, "N": 4})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert gc.get_freeze_count() == 0  # in-process callers keep a collector that sees everything
+    monkeypatch.setattr(cli, "main", gc.get_freeze_count)
+    try:
+        assert cli.console_main() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_blas_threads_default_to_one():

@@ -61,7 +61,7 @@ configs = section(
     grid=section(spacing=numbers, r_max=numbers),
     delta_rule=section(epsilon=numbers),
     cutoff=section(rule=st.sampled_from(["multiplier", "quantile"]) | json_values, c=numbers, q=numbers),
-    directions=json_values, measured_path=json_values, background_path=json_values,
+    directions=json_values,
 )
 
 

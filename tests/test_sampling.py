@@ -14,6 +14,7 @@ from eitlsm import (
     NdMap,
     RelativeData,
     SingularTraceComputer,
+    check_sweep_settings,
     estimate_support,
     fourier_modes,
     grid_points,
@@ -348,6 +349,14 @@ def test_grid_points_refuses_spacing(spacing):
     # 0.9 / 600 would give 1,130,913 points, past the bound the sweep settings enforce
     with pytest.raises(ConfigurationError, match=r"grid\.spacing"):
         grid_points(spacing, 0.9)
+
+
+def test_non_finite_r_max_names_r_max():
+    # refused ahead of the lattice bound, which would blame grid.spacing
+    with pytest.raises(ConfigurationError, match=r"^config\.grid\.r_max: must be finite"):
+        check_sweep_settings(0.05, float("nan"), 0.01, "x", "config.")
+    with pytest.raises(ConfigurationError, match=r"^grid\.r_max: must be finite, got inf"):
+        grid_points(0.05, float("inf"))
 
 
 def test_indicator_map_empty_grid(mesh05, concentric_nd05, background_nd05):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import sys
@@ -64,7 +65,6 @@ _DEFAULTS = {
     "grid": {"spacing": 0.05, "r_max": 0.9},
     "delta_rule": {"epsilon": 0.01},
     "cutoff": {"rule": "multiplier", "c": DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1},
-    "directions": "max-xy",
 }
 
 # the measured and background ND maps in the output directory
@@ -81,7 +81,6 @@ class RunConfig:
     grid: dict
     epsilon: float
     cutoff: dict
-    directions: str
     raw: dict = field(default_factory=dict)
 
 
@@ -118,8 +117,7 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
     if grid["r_max"] < 0.0:  # the library accepts an empty grid; a run on it finds no point
         raise ConfigurationError(f"config.grid.r_max: must be >= 0, got {grid['r_max']}")
-    directions = str(top["directions"])
-    check_sweep_settings(grid["spacing"], grid["r_max"], epsilon, directions, where="config.")
+    check_sweep_settings(grid["spacing"], grid["r_max"], epsilon, where="config.")
     cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
               "q": json_number(cutoff["q"], "config.cutoff.q")}
     check_cutoff(**cutoff, where="config.")
@@ -133,7 +131,6 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
         grid=grid,
         epsilon=epsilon,
         cutoff=cutoff,
-        directions=directions,
         raw=doc,
     )
 
@@ -197,19 +194,27 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
                         "fem": {"rings": len(mesh.ring_starts) - 2, "dense_rings": system.dense_rings},
                         "gamma_max": cfg.scenario.gamma_max},
         "files": list(_ND_FILES),
+        "sha256": {name: _sha256(os.path.join(out_dir, name)) for name in _ND_FILES},
     })
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
     """Refuse ND files whose ``simulate_manifest.json`` in ``out_dir`` records
-    another mesh size or order; ND files without a manifest are taken as is."""
+    another mesh size or order, or other SHA-256 digests; ND files without a
+    manifest, or with one that records no digests, are taken as is."""
     path = os.path.join(out_dir, "simulate_manifest.json")
     if not os.path.exists(path):
         return
     manifest = read_json(path, "simulate manifest")
     try:
         simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
+        digests = {name: manifest["sha256"][name] for name in _ND_FILES if "sha256" in manifest}
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path}: unreadable simulate manifest ({exc!r})") from None
     for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N)):
@@ -218,6 +223,11 @@ def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
                 f"{path}: {name} is {simulated[name]} in the simulate run but {value} "
                 "in this config; refusing to mix runs"
             )
+    for name, digest in digests.items():
+        nd_path = os.path.join(out_dir, name)
+        if os.path.isfile(nd_path) and _sha256(nd_path) != digest:
+            raise ConfigurationError(f"{nd_path}: its SHA-256 is not the one {path} records; "
+                                     "refusing to mix runs")
 
 
 def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
@@ -240,8 +250,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     except ConfigurationError as exc:
         raise ConfigurationError(f"{measured_path} and {background_path}: {exc}") from None
     # no mesh: the sweep takes the closed-form disk dipole traces
-    imap = indicator_map(data, None, cfg.grid, {"epsilon": cfg.epsilon},
-                         directions=cfg.directions)
+    imap = indicator_map(data, None, cfg.grid, {"epsilon": cfg.epsilon})
     if not imap.feasible.any():
         # keep the evidence without clobbering any earlier successful output
         write_indicator_csv(imap, os.path.join(out_dir, "indicator_infeasible.csv"))
@@ -325,9 +334,8 @@ def _verify_checks(mesh: DiskMesh, n_order: int):
     yield "scalar-morozov", err6, 1e-6
 
 
-def run_verify(cfg: RunConfig, out_stream=None) -> bool:
+def run_verify(cfg: RunConfig) -> bool:
     """Run the oracle suite; prints one line per check, returns overall pass."""
-    stream = out_stream or sys.stdout
     mesh = build_disk_mesh(cfg.h_target)
     n_order = min(cfg.N, (mesh.n_boundary - 1) // 2)  # the order the mesh resolves
     all_ok = True
@@ -335,10 +343,10 @@ def run_verify(cfg: RunConfig, out_stream=None) -> bool:
         ok = achieved <= required
         all_ok &= ok
         status = "PASS" if ok else "FAIL"
-        stream.write(f"{status} {name}: achieved {achieved:.3e} (required <= {required:.0e})\n")
+        print(f"{status} {name}: achieved {achieved:.3e} (required <= {required:.0e})")
     lowered = (f" at N={n_order} (config N={cfg.N}; 2N+1 <= {mesh.n_boundary} boundary vertices)"
                if n_order < cfg.N else "")
-    stream.write("verification " + ("passed" if all_ok else "FAILED") + lowered + "\n")
+    print("verification " + ("passed" if all_ok else "FAILED") + lowered)
     return all_ok
 
 

@@ -84,11 +84,11 @@ class FemSystem:
     Rings 0..a (a = ``dense_rings`` >= 1) are eliminated densely,
     S <- D_i - L_i S^-1 L_i^T. Outside ring a gamma must be I: every block then
     commutes with the sixth turn (ring i, slot j) -> (i, j + i mod 6i), and the
-    unitary DFT T over a ring's six sectors splits it into six blocks, read off
-    its sector-0 rows. Rings a+1..M fold into a two-port between ring a and the
+    DFT over a ring's six sectors splits it into six blocks, read off its
+    sector-0 rows. Rings a+1..M fold into a two-port between ring a and the
     current ring, P <- P - Q R^-1 Q^H, Q <- -Q R^-1 L^H, R <- D - L R^-1 L^H,
-    joined once: S_M = R - Q^H (T S_a T^H + P)^-1 Q. S_M bordered by the mean
-    constraint is the one matrix every boundary solve uses. The system is
+    joined once in nodal values: S_M = R - Q^H (S_a + P)^-1 Q. S_M bordered by
+    the mean constraint is the one matrix every boundary solve uses. The system is
     immutable and safe to share read-only; ``assemble_system`` records ``coercivity``.
     """
 
@@ -118,9 +118,9 @@ class FemSystem:
         port = np.zeros((6, a, a), dtype=complex)
         for ring in range(a + 1, M + 1):
             lower, diag = np.hsplit(strip(ring, ring), [6 * (ring - 1)])
-            # C_d couples sector 0 to sector d; Fourier block m is sum_d C_d exp(2 pi i m d / 6)
-            lower, diag = (np.fft.ifft(part.reshape(ring, 6, -1), axis=1, norm="forward")
-                           .swapaxes(0, 1) for part in (lower, diag))
+            # C_d couples sector 0 to sector d; Fourier block m is sum_d C_d W[m, d]
+            lower, diag = ((_SECTOR_DFT @ part.reshape(ring, 6, -1)).swapaxes(0, 1)
+                           for part in (lower, diag))
             if ring == a + 1:
                 coupling, own = lower.conj().swapaxes(1, 2), diag
                 continue
@@ -129,11 +129,10 @@ class FemSystem:
             port = port - coupling @ x[..., :a]
             coupling, own = -coupling @ x[..., a:], diag - lower @ x[..., a:]
         if a < M:
-            joined = _sector_dft(schur) + _block_diag(port)
-            far = _solve(joined, _block_diag(coupling),
+            coupling = _circulant(coupling)
+            far = _solve(schur + _circulant(port), coupling,
                          f"Schur complement of ring {a} with the annulus")
-            fourier = _block_diag(own) - _block_diag(coupling.conj().swapaxes(1, 2)) @ far
-            schur = _sector_dft(fourier, inverse=True)
+            schur = _circulant(own) - coupling.conj().T @ far
         self._bordered = np.block([[schur, constraint[:, None]], [constraint, 0.0]])
 
     def boundary_solve(self, currents, rule: str = "trapezoid") -> np.ndarray:
@@ -172,17 +171,16 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise SolverError(f"constrained Neumann system is singular: {what}") from None
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """The (6p, 6q) matrix with the six (p, q) ``blocks`` on its diagonal."""
-    return (np.eye(6)[:, None, :, None] * blocks[:, :, None, :]).reshape(6 * blocks.shape[1], -1)
+# W[m, d] = exp(2 pi i m d / 6), indexing the sixth roots of unity, each rounded once
+_SIXTH_ROOTS = (np.array([2, 1, -1, -2, -1, 1]) + 3**0.5 * 1j * np.array([0, 1, 1, 0, -1, -1])) / 2
+_SECTOR_DFT = _SIXTH_ROOTS[np.outer(np.arange(6), np.arange(6)) % 6]
 
 
-def _sector_dft(matrix: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """T X T^H for X on one ring, T the unitary DFT over its six sectors; T^H X T if ``inverse``."""
-    n = len(matrix)
-    left, right = (np.fft.ifft, np.fft.fft) if inverse else (np.fft.fft, np.fft.ifft)
-    blocks = left(matrix.reshape(6, n // 6, 6, n // 6), axis=0, norm="ortho")
-    return right(blocks, axis=2, norm="ortho").reshape(n, n)
+def _circulant(blocks: np.ndarray) -> np.ndarray:
+    """The (6p, 6q) nodal block-circulant matrix with the six (p, q) Fourier ``blocks``:
+    its block (s, t) is C_(t - s mod 6) = (1/6) sum_m W[m, s] blocks[m] conj(W[m, t])."""
+    nodal = np.einsum("ms,mpq,mt->sptq", _SECTOR_DFT, blocks / 6, _SECTOR_DFT.conj())
+    return nodal.reshape(6 * blocks.shape[1], 6 * blocks.shape[2])
 
 
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:

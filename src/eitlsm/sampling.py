@@ -10,8 +10,9 @@ whose SVD is computed once per data set and reused by every sweep point.
 The Morozov parameter alpha(delta) is found by Newton steps on 1/residual -
 1/delta in x = 1/alpha, using the strict monotonicity of the residual. Since
 Vh is unitary, the residual and the solution norm depend only on s^2 and
-|U^H phi|^2, so the search runs on all sweep points and directions at once,
-as whole-array operations, and no solution vector is formed for the indicator.
+|U^H phi|^2, so the search runs on the x and y dipoles of a block of sweep
+points at once, as whole-array operations, and no solution vector is formed
+for the indicator.
 
 The indicator I(y) = ||psi_y^delta||_{-1/2} is small where the dipole trace
 is (approximately) in the range of the data operator - i.e. inside the
@@ -288,11 +289,9 @@ def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> Moroz
 # Grid sweep
 
 
-_DIRECTION_SETS = {
-    "max-xy": ((1.0, 0.0), (0.0, 1.0)),
-    "x": ((1.0, 0.0),),
-    "y": ((0.0, 1.0),),
-}
+# the sweep builds traces and selects alpha for this many dipole rows at a time, so
+# its memory stays bounded on any grid; a row's result does not depend on its block
+_BLOCK_ROWS = 2**15
 
 # A contract on every sweep, not a limit of the closed-form traces the CLI uses:
 # it keeps the FEM reference traces (2 * h_target clearance) valid for h_target <= 0.05.
@@ -314,18 +313,13 @@ def _lattice_half_width(spacing: float, r_max: float, where: str = "") -> int:
     return math.floor(k)
 
 
-def check_sweep_settings(spacing: float, r_max: float, epsilon: float, directions: str,
-                         where: str = "") -> None:
-    """Refuse a grid, discrepancy factor or direction strategy that ``indicator_map``
-    cannot use; messages name the setting as the run configuration does
-    (``grid.r_max``) after ``where``."""
+def check_sweep_settings(spacing: float, r_max: float, epsilon: float, where: str = "") -> None:
+    """Refuse a grid or discrepancy factor that ``indicator_map`` cannot use; messages
+    name the setting as the run configuration does (``grid.r_max``) after ``where``."""
     _lattice_half_width(spacing, r_max, where)
     if r_max > R_MAX:
         raise ConfigurationError(
             f"{where}grid.r_max: must be <= {R_MAX}, got {r_max}")
-    if directions not in _DIRECTION_SETS:
-        raise ConfigurationError(f"{where}directions: unknown strategy {directions!r}; "
-                                 f"choose from {sorted(_DIRECTION_SETS)}")
     if not 0.0 < epsilon < 1.0:  # at or above 1, delta >= ||phi_y||: every point infeasible-high
         raise ConfigurationError(f"{where}delta_rule.epsilon: must lie in (0, 1), got {epsilon}")
 
@@ -346,7 +340,7 @@ class IndicatorMap:
     """Per-point sweep results on a square grid clipped to |y| <= r_max."""
 
     points: np.ndarray  # (P, 2)
-    indicator: np.ndarray  # (P,)  direction-combined ||psi||_{-1/2}
+    indicator: np.ndarray  # (P,)  the larger ||psi||_{-1/2} of the x and y dipoles
     alpha: np.ndarray  # (P,)  selected regularization parameter
     residual: np.ndarray  # (P,) achieved residual
     delta: np.ndarray  # (P,) per-point discrepancy level
@@ -372,14 +366,13 @@ def grid_points(spacing: float, r_max: float) -> np.ndarray:
 
 
 def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, delta_rule: dict,
-                  directions: str = "max-xy",
                   trace_computer: SingularTraceComputer | None = None) -> IndicatorMap:
-    """Sweep the sampling grid: Morozov-regularized solve per point and direction.
+    """Sweep the sampling grid: Morozov-regularized solve per point for the x and y dipoles.
 
-    All points and directions are solved together: their weighted dipole
-    traces are stacked into one (P * ndir, 2N) array and a single
-    whole-array Newton search selects every alpha at once (see
-    ``morozov_alpha`` for the per-row rule and flags).
+    The weighted dipole traces of the points, x then y, are stacked into rows
+    of a (2P, 2N) array, and one whole-array Newton search selects the alpha
+    of every row (see ``morozov_alpha`` for the per-row rule and flags); this
+    runs in blocks of ``_BLOCK_ROWS`` rows.
 
     Parameters
     ----------
@@ -390,10 +383,9 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
         ``SingularTraceComputer`` on it. A given ``trace_computer`` wins.
     grid_spec : dict with keys ``spacing`` and ``r_max`` (r_max <= 0.9)
     delta_rule : dict with key ``epsilon``; per point delta = epsilon * ||phi_y||_{1/2}
-    directions : "max-xy" (default), "x" or "y"
-        The indicator is the maximum of ||psi||_{-1/2} over the listed dipole
-        directions; alpha and feasibility follow the maximizing direction
-        (the first one on ties).
+
+    The indicator is the larger ||psi||_{-1/2} of the two directions; alpha
+    and feasibility follow that direction (x on ties).
     """
     try:
         spacing = float(grid_spec["spacing"])
@@ -404,34 +396,28 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
         epsilon = float(delta_rule["epsilon"])
     except KeyError:
         raise ConfigurationError("delta_rule is missing key 'epsilon'") from None
-    check_sweep_settings(spacing, r_max, epsilon, directions)
-    dirs = _DIRECTION_SETS[directions]
+    check_sweep_settings(spacing, r_max, epsilon)
     pts = grid_points(spacing, r_max)
-    n_pts = len(pts)
-    phit = np.zeros((0, 2 * data.N), dtype=complex)
-    if n_pts:
-        ys = np.repeat(pts, len(dirs), axis=0)
-        ds = np.tile(np.asarray(dirs, dtype=float), (n_pts, 1))
-        if trace_computer is None and mesh is None:
-            traces = disk_dipole_traces(ys, ds, data.N)
-        else:
-            traces = (trace_computer or SingularTraceComputer(mesh, data.N)).trace_batch(ys, ds)
-        phit = np.multiply(traces, data.weights, out=traces)  # (P * ndir, 2N)
-    delta = epsilon * np.sqrt(np.einsum("ij,ij->i", phit.view(float), phit.view(float)))
-    rows = _morozov_rows(data, phit, delta)
-
-    best = np.arange(n_pts) * len(dirs) + rows.indicator.reshape(n_pts, len(dirs)).argmax(axis=1)
-    return IndicatorMap(
-        points=pts,
-        indicator=rows.indicator[best],
-        alpha=rows.alpha[best],
-        residual=rows.residual[best],
-        delta=delta[best],
-        spacing=spacing,
-        r_max=r_max,
-        flag=rows.flag[best],
-        steps=rows.steps[best],
-    )
+    if trace_computer is None and mesh is not None and len(pts):
+        trace_computer = SingularTraceComputer(mesh, data.N)
+    imap = IndicatorMap(pts, *np.zeros((4, len(pts))), spacing, r_max,
+                        flag=np.empty(len(pts), dtype=f"<U{max(map(len, FLAGS))}"),
+                        steps=np.zeros(len(pts), dtype=int))
+    step = _BLOCK_ROWS // 2  # points per block
+    for start in range(0, len(pts), step):
+        block = slice(start, start + step)
+        ys = np.repeat(pts[block], 2, axis=0)
+        ds = np.tile(np.eye(2), (len(ys) // 2, 1))
+        traces = (disk_dipole_traces(ys, ds, data.N) if trace_computer is None
+                  else trace_computer.trace_batch(ys, ds))
+        phit = np.multiply(traces, data.weights, out=traces)  # (2 * points, 2N)
+        delta = epsilon * np.sqrt(np.einsum("ij,ij->i", phit.view(float), phit.view(float)))
+        rows = _morozov_rows(data, phit, delta)
+        best = np.arange(0, len(ys), 2) + rows.indicator.reshape(-1, 2).argmax(axis=1)
+        imap.indicator[block], imap.alpha[block], imap.residual[block], imap.delta[block] = (
+            rows.indicator[best], rows.alpha[best], rows.residual[best], delta[best])
+        imap.flag[block], imap.steps[block] = rows.flag[best], rows.steps[best]
+    return imap
 
 
 def support_cutoff(imap: IndicatorMap, rule: str = "multiplier",

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,7 @@ def _ellipse(**fields):
     (_disk(shape="triangle"), [], "inclusions[0].shape"),
     (_disk(h=[[1.0, 0.0]]), [], "inclusions[0].h"),
     ({}, ["--threads", "0"], "--threads"),
+    ({"directions": "x"}, [], "config.directions"),
 ])
 def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, field):
     cfg = write_config(tmp_path, doc)
@@ -412,6 +414,30 @@ def test_reconstruct_refuses_mixed_runs(small_run, tmp_path, capsys):
     assert not (run / "indicator.csv").exists()
 
 
+def test_reconstruct_refuses_nd_file_of_another_run(tmp_path, capsys):
+    # README's disk at h 0.1, its background.nd replaced by that of an h 0.2 run at N 8
+    for h_target in (0.2, 0.1):  # cfg is then the h 0.1 run's
+        cfg = write_config(tmp_path, {"scenario": SWEEP_DOC, "h_target": h_target, "N": 8},
+                           f"h{h_target}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / f"h{h_target}")]) == 0
+    run = tmp_path / "h0.1"
+    manifest = json.loads((run / "simulate_manifest.json").read_text())
+    assert manifest["sha256"] == {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+                                  for name in ("measured.nd", "background.nd")}
+    (run / "background.nd").write_bytes((tmp_path / "h0.2" / "background.nd").read_bytes())
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
+    assert str(run / "background.nd") in err[0] and "measured.nd" not in err[0]
+    assert not (run / "indicator.csv").exists()
+    # a manifest without digests, as written before they were recorded, is checked for
+    # mesh.h_target and N alone, and the mix goes through
+    del manifest["sha256"]
+    (run / "simulate_manifest.json").write_text(json.dumps(manifest))
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+
+
 @pytest.mark.parametrize("order", [6, 10])
 def test_reconstruct_refuses_nd_order_other_than_config(small_run, tmp_path, capsys, order):
     # no simulate manifest: the ND headers alone record the order
@@ -580,3 +606,27 @@ def test_verify_fails_on_coarse_mesh(tmp_path, capsys):
     # 24 boundary vertices resolve N=11, not the default 16
     assert out.splitlines()[-1] == ("verification FAILED at N=11 "
                                     "(config N=16; 2N+1 <= 24 boundary vertices)")
+
+
+def _sweep_heavy_mask(tmp_path, ellipse, name):
+    cfg = write_config(tmp_path, {"scenario": {"inclusions": [ellipse]}, "h_target": 0.05,
+                                  "N": 16, "grid": {"spacing": 0.025, "r_max": 0.9},
+                                  "delta_rule": {"epsilon": 0.01}}, f"{name}.json")
+    out = tmp_path / name
+    for command in ("simulate", "reconstruct"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "mask.csv", delimiter=",", skiprows=1, ndmin=2)
+    return {(round(x / 0.025), round(y / 0.025)): inside for x, y, inside in rows}
+
+
+def test_reflection_reflects_the_sweep_heavy_mask(tmp_path):
+    # the anisotropic complex ellipse of the sweep-heavy workload, and its mirror image in
+    # the x-axis, a symmetry of mesh and grid: centre (x, -y), tilt -> -tilt, h12 -> -h12
+    ellipse = {"shape": "ellipse", "center": [0.2, 0.1], "semi_axes": [0.3, 0.2], "tilt": 0.4,
+               "h": [[[1.0, -0.5], [0.3, -0.1]], [[0.3, -0.1], [2.0, -0.3]]]}
+    mirrored = dict(ellipse, center=[0.2, -0.1], tilt=-0.4,
+                    h=[[[1.0, -0.5], [-0.3, 0.1]], [[-0.3, 0.1], [2.0, -0.3]]])
+    mask = _sweep_heavy_mask(tmp_path, ellipse, "sweep-heavy")
+    reflected = {(i, -j): inside for (i, j), inside in mask.items()}
+    assert 0 < sum(mask.values()) < len(mask) == 4053 and reflected != mask
+    assert _sweep_heavy_mask(tmp_path, mirrored, "mirrored") == reflected

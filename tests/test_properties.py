@@ -61,7 +61,6 @@ configs = section(
     grid=section(spacing=numbers, r_max=numbers),
     delta_rule=section(epsilon=numbers),
     cutoff=section(rule=st.sampled_from(["multiplier", "quantile"]) | json_values, c=numbers, q=numbers),
-    directions=json_values,
 )
 
 

@@ -26,6 +26,7 @@ from eitlsm import (
     write_indicator_pgm,
     write_mask_csv,
 )
+from eitlsm import sampling
 from eitlsm.sampling import MOROZOV_MAX_STEPS, _morozov_rows, _solve_weighted, _write_csv
 from conftest import two_phase_diagonal
 
@@ -354,7 +355,7 @@ def test_grid_points_refuses_spacing(spacing):
 def test_non_finite_r_max_names_r_max():
     # refused ahead of the lattice bound, which would blame grid.spacing
     with pytest.raises(ConfigurationError, match=r"^config\.grid\.r_max: must be finite"):
-        check_sweep_settings(0.05, float("nan"), 0.01, "x", "config.")
+        check_sweep_settings(0.05, float("nan"), 0.01, "config.")
     with pytest.raises(ConfigurationError, match=r"^grid\.r_max: must be finite, got inf"):
         grid_points(0.05, float("inf"))
 
@@ -374,9 +375,6 @@ def test_indicator_map_validation(mesh05, concentric_nd05, background_nd05):
     for epsilon in (0.0, 1.0):  # at 1, delta = ||phi_y||: every point infeasible-high
         with pytest.raises(ConfigurationError, match="epsilon"):
             indicator_map(data, mesh05, {"spacing": 0.1, "r_max": 0.5}, {"epsilon": epsilon})
-    with pytest.raises(ConfigurationError):
-        indicator_map(data, mesh05, {"spacing": 0.1, "r_max": 0.5},
-                      {"epsilon": 0.01}, directions="diag")
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +394,20 @@ def test_closed_form_sweep_matches_fem_sweep(small_sweep):
     assert np.array_equal(closed.points, fem.points)
     assert np.array_equal(closed.flag, fem.flag)
     assert np.array_equal(estimate_support(closed), estimate_support(fem))
+
+
+@pytest.mark.parametrize("fem,grid", [(False, {"spacing": 0.07, "r_max": 0.7}),
+                                      (True, {"spacing": 0.14, "r_max": 0.75})],
+                         ids=["closed-form", "fem"])
+def test_sweep_blocks_give_the_one_block_result(monkeypatch, small_sweep, fem, grid):
+    data, computer, _ = small_sweep
+    computer = computer if fem else None
+    whole = indicator_map(data, None, grid, {"epsilon": 0.01}, trace_computer=computer)
+    monkeypatch.setattr(sampling, "_BLOCK_ROWS", 7)  # 3 points a block, then a short one
+    blocked = indicator_map(data, None, grid, {"epsilon": 0.01}, trace_computer=computer)
+    assert len(whole) > 7 and len(whole) % 3  # 317 and 89 points
+    for name in ("points", "indicator", "alpha", "residual", "delta", "flag", "steps"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
 
 
 def test_indicator_finite_positive_at_feasible_points(small_sweep):

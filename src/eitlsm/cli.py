@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import os
 import sys
@@ -200,6 +199,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # here, not at import: it loads OpenSSL, which only the digests need
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 

@@ -79,8 +79,9 @@ def reciprocity_defect(matrix: np.ndarray) -> float:
 class FemSystem:
     """Neumann system on a ring-ordered disk mesh, condensed onto its boundary.
 
-    ``entries``, the complex-symmetric stiffness matrix as COO (rows, cols,
-    values), is block tridiagonal in the M rings: lower block rows [L_i | D_i].
+    ``kloc`` holds the (nt, 3, 3) element matrices of the complex-symmetric stiffness
+    matrix, block tridiagonal in the M rings: lower block rows [L_i | D_i], read
+    from the triangles of ring pairs i - 1 and i alone, added in triangle order.
     Rings 0..a (a = ``dense_rings`` >= 1) are eliminated densely,
     S <- D_i - L_i S^-1 L_i^T. Outside ring a gamma must be I: every block then
     commutes with the sixth turn (ring i, slot j) -> (i, j + i mod 6i), and the
@@ -92,22 +93,21 @@ class FemSystem:
     immutable and safe to share read-only; ``assemble_system`` records ``coercivity``.
     """
 
-    def __init__(self, mesh: DiskMesh, entries, constraint: np.ndarray, dense_rings: int):
+    def __init__(self, mesh: DiskMesh, kloc: np.ndarray, constraint: np.ndarray, dense_rings: int):
         self.mesh = mesh
         self.dense_rings = a = dense_rings
-        starts = mesh.ring_starts
+        starts, pairs = mesh.ring_starts, mesh.pair_starts
         M = len(starts) - 2
-        order = np.argsort(entries[0], kind="stable")
-        rows, cols, values = (part[order] for part in entries)
 
         def strip(ring: int, height: int) -> np.ndarray:
             """The first ``height`` rows of ring's lower block row [L | D]."""
-            lo, hi = np.searchsorted(rows, [starts[ring], starts[ring] + height])
+            span = slice(pairs[max(ring - 1, 0)], pairs[min(ring + 1, M)])
+            first, tri = starts[max(ring - 1, 0)], mesh.triangles[span]
+            rows, cols = np.broadcast_arrays(tri[:, :, None] - starts[ring], tri[:, None, :] - first)
             # the upper block is L^T, not L^H
-            keep = lo + np.flatnonzero(cols[lo:hi] < starts[ring + 1])
-            first = starts[max(ring - 1, 0)]
+            keep = (rows >= 0) & (rows < height) & (cols < starts[ring + 1] - first)
             out = np.zeros((height, starts[ring + 1] - first), dtype=complex)
-            np.add.at(out, (rows[keep] - starts[ring], cols[keep] - first), values[keep])
+            np.add.at(out, (rows[keep], cols[keep]), kloc[span][keep])
             return out
 
         schur = np.zeros((0, 0), dtype=complex)
@@ -211,15 +211,13 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     gay = gam[:, 1, 0][:, None] * gx + gam[:, 1, 1][:, None] * gy
     kloc = area[:, None, None] * (gx[:, :, None] * gax[:, None, :]
                                   + gy[:, :, None] * gay[:, None, :])
-    rows = np.repeat(tris, 3, axis=1).reshape(-1)
-    cols = np.tile(tris, (1, 3)).reshape(-1)
     # dense out to the outermost ring that a triangle with gamma != I touches, at least ring 1
     outermost = tris[(gam != np.eye(2)).any(axis=(1, 2))].max(initial=mesh.ring_starts[1])
-    dense_rings = int(np.searchsorted(mesh.ring_starts, outermost, side="right") - 1)
-
+    dense_rings = int(np.count_nonzero(mesh.ring_starts[1:] <= outermost))
+    del p, x, y, det, area, gx, gy, gam, gax, gay  # the rings are eliminated from kloc alone
     ell = mesh.boundary_edge_lengths()
     constraint = 0.5 * (ell + np.roll(ell, 1))
-    system = FemSystem(mesh, (rows, cols, kloc.reshape(-1)), constraint, dense_rings)
+    system = FemSystem(mesh, kloc, constraint, dense_rings)
     system.coercivity = verdict
     return system
 

@@ -90,10 +90,11 @@ class DiskMesh:
     Fields
     ------
     h_target : float in (0, 0.5] with M <= 576 (at most 10^6 vertices), the only
-        init field; construction sets the four below from it
+        init field; construction sets the five below from it
     vertices : float array (nv, 2)
     triangles : int array (nt, 3)
     ring_starts : int array (M + 2,), the first vertex of each ring, then nv
+    pair_starts : int array (M + 1,), the first triangle of each ring pair i (rings i, i + 1), then nt
     boundary_angles : float array (nb,), polar angle in [0, 2pi) of each boundary vertex
     """
 
@@ -112,8 +113,9 @@ class DiskMesh:
 
         # Ring pair i (the centre a ring of one) owns triangles [6i^2, 6(i+1)^2): per sector an
         # outer step, then i (inner, outer) pairs; from slots (a, b) they add (a, b, a+1), (a, b, b+1).
-        pair = np.repeat(i[:-1], 6 * (2 * i[:-1] + 1))
-        sector, step = np.divmod(np.arange(6 * M * M) - 6 * pair**2, 2 * pair + 1)
+        self.pair_starts = 6 * i**2
+        pair = np.repeat(i[:-1], np.diff(self.pair_starts))
+        sector, step = np.divmod(np.arange(self.pair_starts[-1]) - self.pair_starts[pair], 2 * pair + 1)
         a, b = sector * pair + step // 2, sector * (pair + 1) + (step + 1) // 2
         na, nb = np.maximum(6 * pair, 1), 6 * pair + 6
         sa, sb = self.ring_starts[pair], self.ring_starts[pair + 1]

@@ -534,6 +534,15 @@ def test_blas_threads_default_to_one():
         assert proc.stdout.strip() == expected
 
 
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL; only the ND digests of simulate and reconstruct need it
+    code = "import sys, eitlsm.cli; print('hashlib' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(eitlsm.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):
     # measured differs from background in the mode n = -N alone: the weighted
     # difference has rank one, so every dipole trace keeps more than epsilon of its

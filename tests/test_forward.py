@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from eitlsm import (
     save_nd_map,
     trace_to_fourier,
 )
-from conftest import ANISO_DOC, two_phase_diagonal
+from conftest import ANISO_DOC, SWEEP_DOC, two_phase_diagonal
 
 
 def background_field():
@@ -39,17 +41,22 @@ def cos_field(N, n):
 # assembly
 
 
-def full_stiffness(mesh, field):
-    """Dense P1 stiffness matrix with gamma frozen at centroids, summed element by element."""
+def element_stiffness(mesh, field):
+    """P1 element matrices, shape (nt, 3, 3), with gamma frozen at centroids."""
     p = mesh.vertices[mesh.triangles]
     # grad phi_i is the edge opposite vertex i turned by 90 degrees, over twice the area
     edges = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
     area = 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
     grads = np.stack([-edges[..., 1], edges[..., 0]], axis=-1) / (2 * area[:, None, None])
     gamma = field.evaluate_batch(p.mean(axis=1))
-    local = area[:, None, None] * np.einsum("tia,tab,tjb->tij", grads, gamma, grads)
+    return area[:, None, None] * np.einsum("tia,tab,tjb->tij", grads, gamma, grads)
+
+
+def full_stiffness(mesh, field):
+    """Dense P1 stiffness matrix with gamma frozen at centroids, summed element by element."""
     K = np.zeros((mesh.n_vertices,) * 2, dtype=complex)
-    np.add.at(K, (mesh.triangles[:, :, None], mesh.triangles[:, None, :]), local)
+    np.add.at(K, (mesh.triangles[:, :, None], mesh.triangles[:, None, :]),
+              element_stiffness(mesh, field))
     return K
 
 
@@ -154,35 +161,48 @@ def test_condensation_matches_dense_elimination(h, doc):
     assert np.linalg.norm(system._bordered - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
-def identity_entries(nv):
-    return np.arange(nv), np.arange(nv), np.ones(nv, dtype=complex)
-
-
 def test_singular_blocks_raise_solver_error():
     mesh = build_disk_mesh(0.2)  # rings of 1, 6, ..., 30 vertices
-    rows, cols, _ = identity_entries(mesh.n_vertices)
-    zero = (rows, cols, np.zeros(mesh.n_vertices, dtype=complex))
+    laplace = element_stiffness(mesh, background_field())
     for dense_rings in (1, 5):  # with and without an annulus outside the dense rings
         with pytest.raises(SolverError, match="singular: Schur complement of ring 0"):
-            FemSystem(mesh, zero, np.ones(mesh.n_boundary), dense_rings)
-    # the identity condenses to the identity, but nothing fixes the mean
-    unconstrained = FemSystem(mesh, identity_entries(mesh.n_vertices), np.zeros(mesh.n_boundary), 1)
+            FemSystem(mesh, np.zeros_like(laplace), np.ones(mesh.n_boundary), dense_rings)
+    # the Laplacian condenses to a boundary matrix that is singular on the constants,
+    # and nothing fixes the mean
+    unconstrained = FemSystem(mesh, laplace, np.zeros(mesh.n_boundary), 1)
     with pytest.raises(SolverError, match="singular: boundary matrix bordered"):
         unconstrained.boundary_solve(cos_current(mesh, 1))
 
 
 def test_singular_fourier_block_names_ring_and_block():
-    # the identity, but ring 2 holds the Laplacian of its 12-cycle: rotation invariant, and
-    # singular only on the constants, which the sector DFT puts in Fourier block 0
+    # the Laplacian on ring pair 0 keeps the centre invertible; on ring pair 2 each triangle
+    # with two ring-2 vertices adds the unit Laplacian of their edge, so ring 2 holds the
+    # Laplacian of its 12-cycle: rotation invariant, and singular only on the constants,
+    # which the sector DFT puts in Fourier block 0
     mesh = build_disk_mesh(0.2)
-    rows, cols, values = identity_entries(mesh.n_vertices)
-    ring = np.arange(mesh.ring_starts[2], mesh.ring_starts[3])
-    values[ring] = 2.0
-    neighbours = mesh.ring_starts[2] + (ring - mesh.ring_starts[2] + 1) % 12
-    entries = (np.concatenate([rows, ring, neighbours]), np.concatenate([cols, neighbours, ring]),
-               np.concatenate([values, -np.ones(24)]))
+    kloc = np.zeros((len(mesh.triangles), 3, 3), dtype=complex)
+    pairs, starts = mesh.pair_starts, mesh.ring_starts
+    kloc[:pairs[1]] = element_stiffness(mesh, background_field())[:pairs[1]]
+    for t in range(pairs[2], pairs[3]):
+        on_ring = np.flatnonzero(mesh.triangles[t] < starts[3])
+        if len(on_ring) == 2:
+            kloc[t][np.ix_(on_ring, on_ring)] = [[1.0, -1.0], [-1.0, 1.0]]
     with pytest.raises(SolverError, match="singular: Schur complement of ring 2, Fourier block 0$"):
-        FemSystem(mesh, entries, np.ones(mesh.n_boundary), 1)
+        FemSystem(mesh, kloc, np.ones(mesh.n_boundary), 1)
+
+
+def test_assembly_peak_memory_on_a_fine_mesh():
+    # ring strips are read from the element matrices, and the assembly temporaries are freed
+    # before the rings are eliminated: global sorted triplets, or live temporaries, each take
+    # the peak past 20 MB
+    mesh, field = build_disk_mesh(0.015), parse_scenario(SWEEP_DOC)
+    tracemalloc.start()
+    try:
+        assemble_system(mesh, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_assembly_refuses_non_coercive_field():

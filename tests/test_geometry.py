@@ -76,6 +76,18 @@ def test_mesh_maps_onto_itself_under_a_sixth_turn(h):
     assert len(triangles) == len(mesh.triangles)
 
 
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.2, 0.1, 0.05, 0.03, 0.015])
+def test_ring_pairs_hold_their_triangles(h):
+    # the FEM reads ring i's rows from ring pairs i - 1 and i alone
+    mesh = build_disk_mesh(h)
+    M = len(mesh.ring_starts) - 2
+    assert np.array_equal(mesh.pair_starts, [6 * i * i for i in range(M + 1)])
+    assert mesh.pair_starts[-1] == len(mesh.triangles)
+    ring = np.searchsorted(mesh.ring_starts, mesh.triangles, side="right") - 1
+    pair = np.repeat(np.arange(M), np.diff(mesh.pair_starts))
+    assert (ring.min(axis=1) == pair).all() and (ring.max(axis=1) == pair + 1).all()
+
+
 def merged_ring_mesh(h):
     """Reference ring mesh: one loop over the rings, a two-cursor merge per ring pair."""
     M = int(np.ceil(1.0 / h))

@@ -10,11 +10,11 @@ boundary, densely where gamma varies and in six Fourier blocks per ring where
 gamma = I; every solve goes through its one boundary operator,
 ``boundary_solve``: nodal currents in, nodal traces out, any number of columns.
 
-Boundary loads use the periodic trapezoid quadrature paired with the
-trapezoid trace projection; on the uniformly spaced boundary this pairing
-is adjoint-exact, so discrete reciprocity M[m,n] = M[-n,-m] holds to solver
-roundoff, and it is also markedly more accurate for the ND diagonal than
-the P1-consistent ("galerkin") load, which is kept as an option.
+The boundary ring is uniform, so its quadrature is constant: weight 2pi/nb,
+edge length and mean-constraint entry ell = 2 sin(pi/nb). Trapezoid loads pair
+with the equal-weight DFT trace projection adjoint-exactly, so reciprocity
+M[m,n] = M[-n,-m] holds to solver roundoff; they are also more accurate for the
+ND diagonal than the circulant P1-consistent ("galerkin") load, kept as an option.
 """
 
 from __future__ import annotations
@@ -140,19 +140,17 @@ class FemSystem:
 
         Each column of ``currents`` is turned into a load b_i = int f phi_i dS:
         ``trapezoid`` (default) uses the periodic trapezoid rule in angle, the
-        adjoint of the trace projection; ``galerkin`` evaluates the
-        P1-consistent edge mass exactly. All columns share one solve of the
-        bordered matrix; the Lagrange multiplier absorbs any residual mean.
+        adjoint of the trace projection; ``galerkin`` evaluates the P1-consistent
+        edge mass exactly, a circulant on the uniform ring. All columns share one
+        solve of the bordered matrix; the Lagrange multiplier absorbs any residual mean.
         """
         currents = np.asarray(currents, dtype=complex)
         mesh = self.mesh
         if rule == "trapezoid":
             loads = mesh.boundary_weights[:, None] * currents
-        elif rule == "galerkin":
-            ell = mesh.boundary_edge_lengths()[:, None]
-            nxt = np.roll(currents, -1, axis=0)
-            prv = np.roll(currents, 1, axis=0)
-            loads = (ell * (2 * currents + nxt) + np.roll(ell, 1, axis=0) * (2 * currents + prv)) / 6.0
+        elif rule == "galerkin":  # equal edges ell: the circulant ell/6 (c_{k-1} + 4 c_k + c_{k+1})
+            loads = mesh.boundary_edge_lengths()[:, None] * (
+                4 * currents + np.roll(currents, -1, axis=0) + np.roll(currents, 1, axis=0)) / 6.0
         else:
             raise ConfigurationError(f"unknown load rule {rule!r}")
         rhs = np.vstack([loads, np.zeros_like(loads[:1])])
@@ -215,9 +213,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     outermost = tris[(gam != np.eye(2)).any(axis=(1, 2))].max(initial=mesh.ring_starts[1])
     dense_rings = int(np.count_nonzero(mesh.ring_starts[1:] <= outermost))
     del p, x, y, det, area, gx, gy, gam, gax, gay  # the rings are eliminated from kloc alone
-    ell = mesh.boundary_edge_lengths()
-    constraint = 0.5 * (ell + np.roll(ell, 1))
-    system = FemSystem(mesh, kloc, constraint, dense_rings)
+    system = FemSystem(mesh, kloc, mesh.boundary_edge_lengths(), dense_rings)
     system.coercivity = verdict
     return system
 

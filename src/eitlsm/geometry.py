@@ -140,15 +140,12 @@ class DiskMesh:
 
     @property
     def boundary_weights(self) -> np.ndarray:
-        """Periodic trapezoid weights in angle, w_k = (theta_{k+1} - theta_{k-1})/2."""
-        theta = self.boundary_angles
-        gaps = np.diff(theta, append=theta[0] + 2 * np.pi)
-        return 0.5 * (gaps + np.roll(gaps, 1))
+        """Periodic trapezoid weights in angle: the uniform ring gives every vertex 2pi/nb."""
+        return np.full(self.n_boundary, 2 * np.pi / self.n_boundary)
 
     def boundary_edge_lengths(self) -> np.ndarray:
-        """Length of boundary edge k = (boundary[k], boundary[k+1]), cyclic."""
-        bp = self.vertices[self.boundary]
-        return np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
+        """Length of boundary edge k = (boundary[k], boundary[k+1]), cyclic: the chord 2 sin(pi/nb)."""
+        return np.full(self.n_boundary, 2 * np.sin(np.pi / self.n_boundary))
 
 
 def check_order(N: int, nb: int, where: str = "") -> None:
@@ -179,17 +176,15 @@ def build_disk_mesh(h_target: float) -> DiskMesh:
 def fourier_projector(mesh: DiskMesh, N: int) -> np.ndarray:
     """Matrix P, shape (2N, nb), taking nodal boundary values to zero-mean Fourier coefficients.
 
-    Row n holds the periodic trapezoid-rule integral over the
-    angle-parameterized boundary,
+    Row n holds the periodic trapezoid-rule integral over the uniform boundary
+    ring, the equal-weight DFT
 
-        f_n = (1/2pi) sum_k w_k f(theta_k) exp(-i n theta_k),
+        f_n = (1/nb) sum_k f(theta_k) exp(-i n theta_k);
 
-    with the weights of :attr:`DiskMesh.boundary_weights`; the n = 0 row is
-    absent (mean removal is structural). Requires 2N + 1 <= nb.
+    the n = 0 row is absent (mean removal is structural). Requires 2N + 1 <= nb.
     """
     check_order(N, mesh.n_boundary)
-    E = np.exp(-1j * np.outer(fourier_modes(N), mesh.boundary_angles))
-    return E * (mesh.boundary_weights / (2 * np.pi))
+    return np.exp(-1j * np.outer(fourier_modes(N), mesh.boundary_angles)) / mesh.n_boundary
 
 
 def trace_to_fourier(mesh: DiskMesh, nodal, N: int, smoothness: float) -> BoundaryField:

@@ -591,6 +591,21 @@ def test_reconstruct_missing_data_files(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_reconstruct_into_a_missing_directory_creates_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    missing = tmp_path / "missing"
+    assert main(["reconstruct", "--config", cfg, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(missing / "measured.nd") in err[0]
+    assert not missing.exists()
+    # reconstruct reads from --out: a regular file there is refused on its first read
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["reconstruct", "--config", cfg, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"configuration error: {afile / 'measured.nd'}: Not a directory"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 

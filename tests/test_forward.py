@@ -17,6 +17,7 @@ from eitlsm import (
     compute_nd_map,
     fourier_modes,
     load_nd_map,
+    nd_map_from_system,
     parse_scenario,
     reciprocity_defect,
     save_nd_map,
@@ -335,6 +336,19 @@ def test_reciprocity_anisotropic(mesh05, aniso_field):
     coarse = compute_nd_map(build_disk_mesh(0.1), aniso_field, 12, load_rule="galerkin")
     fine = compute_nd_map(mesh05, aniso_field, 12, load_rule="galerkin")
     assert fine.symmetry_defect() < coarse.symmetry_defect()
+
+
+@pytest.mark.parametrize("h", [0.1, 0.03])
+def test_galerkin_load_is_the_trapezoid_load_times_its_symbol(aniso_field, h):
+    # on the uniform ring the P1 edge mass is circulant: mode n is scaled by
+    # ell/6 (4 + 2 cos(2 pi n/nb)), the trapezoid load by 2 pi/nb
+    mesh = build_disk_mesh(h)
+    system = assemble_system(mesh, aniso_field)
+    trapezoid = nd_map_from_system(system, 12).matrix
+    galerkin = nd_map_from_system(system, 12, load_rule="galerkin").matrix
+    nb, ell = mesh.n_boundary, 2 * np.sin(np.pi / mesh.n_boundary)
+    symbol = ell * nb / (6 * np.pi) * (2 + np.cos(2 * np.pi * fourier_modes(12) / nb))
+    assert np.abs(galerkin - trapezoid * symbol).max() <= 1e-13 * np.abs(galerkin).max()
 
 
 def test_real_gamma_preserves_real_fields(concentric_nd05):

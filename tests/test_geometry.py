@@ -138,6 +138,20 @@ def test_mesh_holds_its_boundary_angles():
     assert mesh.boundary_angles.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("h", [0.5, 0.2, 0.1, 0.03, 0.0075])
+def test_boundary_quadrature_is_the_uniform_ring_constant(h):
+    mesh = DiskMesh(h)
+    nb = mesh.n_boundary
+    chord = 2 * np.sin(np.pi / nb)
+    assert np.all(mesh.boundary_weights == 2 * np.pi / nb)
+    assert np.all(mesh.boundary_edge_lengths() == chord)
+    # the constant is the chord the boundary vertices span, whose coordinates carry the
+    # roundoff of their angles (about 1e-15 absolute)
+    bp = mesh.vertices[mesh.boundary]
+    gaps = np.linalg.norm(np.roll(bp, -1, axis=0) - bp, axis=1)
+    assert np.linalg.norm(gaps - chord) <= 1e-13 * np.linalg.norm(gaps)
+
+
 def test_mesh_area_converges_to_pi():
     mesh = build_disk_mesh(0.05)
     assert abs(signed_areas(mesh).sum() - np.pi) <= 0.01 * np.pi

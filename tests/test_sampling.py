@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitlsm import (
+    AdmittanceField,
     BoundaryField,
     ConfigurationError,
+    Disk,
     EstimationError,
     IndicatorMap,
     NdMap,
     RelativeData,
     SingularTraceComputer,
+    build_disk_mesh,
     check_sweep_settings,
+    compute_background_nd_map,
+    compute_nd_map,
     estimate_support,
     fourier_modes,
     grid_points,
@@ -394,6 +399,19 @@ def test_closed_form_sweep_matches_fem_sweep(small_sweep):
     assert np.array_equal(closed.points, fem.points)
     assert np.array_equal(closed.flag, fem.flag)
     assert np.array_equal(estimate_support(closed), estimate_support(fem))
+
+
+def test_indicator_map_with_a_mesh_takes_its_fem_traces():
+    # README's library path: a mesh and no trace_computer build SingularTraceComputer(mesh, N)
+    mesh, grid = build_disk_mesh(0.1), {"spacing": 0.1, "r_max": 0.7}
+    disk = AdmittanceField([Disk((0.3, 0.0), 0.25)], [2 * np.eye(2)])  # README's disk
+    data = make_relative_data(compute_nd_map(mesh, disk, 8), compute_background_nd_map(mesh, 8))
+    implied = indicator_map(data, mesh, grid, {"epsilon": 0.01})
+    explicit = indicator_map(data, mesh, grid, {"epsilon": 0.01},
+                             trace_computer=SingularTraceComputer(mesh, data.N))
+    assert len(implied) == 149
+    for name in ("points", "indicator", "alpha", "residual", "delta", "flag", "steps"):
+        assert getattr(implied, name).tobytes() == getattr(explicit, name).tobytes(), name
 
 
 @pytest.mark.parametrize("fem,grid", [(False, {"spacing": 0.07, "r_max": 0.7}),

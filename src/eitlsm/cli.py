@@ -159,7 +159,6 @@ def _write_manifest(out_dir: str, mode: str, cfg: RunConfig, extra: dict) -> str
 def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     """Simulate ND data: measured (optionally noisy) + background + manifest."""
     check_mesh_settings(cfg.h_target, cfg.N, where="config.")
-    os.makedirs(out_dir, exist_ok=True)
     measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
     for path in (measured_path, background_path):
         if os.path.isdir(path):
@@ -167,6 +166,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     mesh = build_disk_mesh(cfg.h_target)
     absorption = check_absorption(cfg.scenario)
     system = assemble_system(mesh, cfg.scenario)  # refuses if coercivity fails
+    os.makedirs(out_dir, exist_ok=True)  # after the refusals: a refused run leaves no directory
     coercivity = system.coercivity
     measured = nd_map_from_system(system, cfg.N)
     if cfg.noise_level > 0.0:
@@ -356,39 +356,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "in the unit disk from Neumann-to-Dirichlet data.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "compute ND-map files for a scenario"),
-        ("reconstruct", "run the sampling sweep on ND-map files"),
-        ("verify", "run the analytic-oracle checks"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; has no effect")
+    parser.add_argument("command", choices=("simulate", "reconstruct", "verify"),
+                        help="simulate ND-map files for a scenario, reconstruct the support "
+                             "from them, or verify the analytic oracles")
+    parser.add_argument("--config", help="JSON run configuration")
+    parser.add_argument("--out", default=".", help="output directory (default: current)")
+    parser.add_argument("--threads", type=int, help="accepted for compatibility; has no effect")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = load_run_config(args.config)
-        else:
-            cfg = parse_run_config({})
+        cfg = load_run_config(args.config) if args.config else parse_run_config({})
         if args.threads is not None and args.threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {args.threads}")
 
-        if args.command == "simulate":
-            paths = run_simulate(cfg, args.out)
-            print(f"wrote {paths['measured']}, {paths['background']}, {paths['manifest']}")
-            return 0
-        if args.command == "reconstruct":
-            paths = run_reconstruct(cfg, args.out)
-            print(f"wrote {paths['indicator']}, {paths['mask']}, {paths['image']}")
-            return 0
-        return 0 if run_verify(cfg) else 1
+        if args.command == "verify":
+            return 0 if run_verify(cfg) else 1
+        run = run_simulate if args.command == "simulate" else run_reconstruct
+        print("wrote " + ", ".join(run(cfg, args.out).values()))
+        return 0
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

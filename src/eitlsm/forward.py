@@ -264,16 +264,27 @@ def add_noise(nd: NdMap, level: float, seed: int) -> NdMap:
     )
 
 
+def _write_table(path, header: str, table: np.ndarray, sep: str, newline: str) -> None:
+    """``header``, then each row of ``table`` as its cells joined by ``sep``; every line ends in
+    ``newline``. A cell is its float64 as ``%.17g``, formatted once per distinct value: finite
+    values read back bit for bit, whole numbers print as integers and -0.0 as ``-0``."""
+    table = np.asarray(table, dtype=np.float64)
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+    rows = zip(*([text[i] for i in col] for col in cell.reshape(table.shape).T.tolist()))
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join([header, *map(sep.join, rows)]) + newline)
+
+
 def save_nd_map(nd: NdMap, path) -> None:
     """Write the text ND-map format.
 
     Header ``ndmap N <N> provenance <tag>``; then the 2N x 2N complex matrix,
-    one row per line, entries as ``re im`` pairs at 17 significant digits
-    (bit-exact round trip).
+    one row per line, entries as space-separated ``re im`` pairs in the
+    ``%.17g`` cells of :func:`_write_table` (bit-exact round trip).
     """
-    with open(path, "w", newline="") as fh:  # a handle: savetxt gzips a path ending in .gz
-        np.savetxt(fh, np.ascontiguousarray(nd.matrix).view(float), fmt="%.17g",
-                   header=f"ndmap N {nd.N} provenance {nd.provenance}", comments="")
+    _write_table(path, f"ndmap N {nd.N} provenance {nd.provenance}",
+                 np.ascontiguousarray(nd.matrix).view(float), " ", "\n")
 
 
 def load_nd_map(path) -> NdMap:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dipole import SingularTraceComputer, disk_dipole_traces
 from .errors import ConfigurationError, EstimationError
-from .forward import NdMap
+from .forward import NdMap, _write_table
 from .geometry import BoundaryField, DiskMesh, fourier_modes
 
 __all__ = [
@@ -476,26 +476,18 @@ def sweep_diagnostics(imap: IndicatorMap, cutoff: float) -> dict:
 # Output files
 
 
-def _write_csv(path, points: np.ndarray, columns: dict) -> None:
-    """The bytes of ``np.savetxt(fmt="%.17g", delimiter=",", newline="\\r\\n")`` under a
-    header x,y,<columns>, booleans as 0/1; each distinct float64 is formatted once."""
-    table = np.column_stack([points, *columns.values()]).astype(np.float64, copy=False)
-    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
-    text = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-    cells = zip(*([text[i] for i in col] for col in cell.reshape(table.shape).T.tolist()))
-    with open(path, "w", newline="") as fh:  # rows end in \r\n, as the csv module writes them
-        fh.write("\r\n".join([",".join(["x", "y", *columns]), *map(",".join, cells)]) + "\r\n")
-
-
 def write_indicator_csv(imap: IndicatorMap, path) -> None:
-    """CSV with header x,y,indicator,alpha,feasible (17 significant digits)."""
-    _write_csv(path, imap.points, {"indicator": imap.indicator, "alpha": imap.alpha,
-                                   "feasible": imap.feasible})
+    """CSV with header x,y,indicator,alpha,feasible, rows ending in \\r\\n and the
+    ``%.17g`` cells of :func:`~eitlsm.forward._write_table`; ``feasible`` is 0/1."""
+    _write_table(path, "x,y,indicator,alpha,feasible",
+                 np.column_stack([imap.points, imap.indicator, imap.alpha, imap.feasible]),
+                 ",", "\r\n")
 
 
 def write_mask_csv(imap: IndicatorMap, mask: np.ndarray, path) -> None:
-    """CSV with header x,y,inside."""
-    _write_csv(path, imap.points, {"inside": mask})
+    """CSV with header x,y,inside (1 inside the support estimate, else 0), laid out
+    as :func:`write_indicator_csv`."""
+    _write_table(path, "x,y,inside", np.column_stack([imap.points, mask]), ",", "\r\n")
 
 
 def write_indicator_pgm(imap: IndicatorMap, path) -> None:
@@ -503,16 +495,16 @@ def write_indicator_pgm(imap: IndicatorMap, path) -> None:
 
     Bright pixels mark large indicator values (exterior points); grid cells
     outside the sweep disk or infeasible render black. The scaling is
-    deterministic (min/max of the finite feasible values).
+    deterministic (min/max of the finite feasible values). Header lines ``P2``, the
+    size and 255; then one line per image row of whole-number pixels, printed as integers.
     """
     k = _lattice_half_width(imap.spacing, imap.r_max)
     size = 2 * k + 1
-    img = np.zeros((size, size), dtype=int)
+    img = np.zeros((size, size))
     shown = imap.feasible & (imap.indicator > 0)
     if shown.any():
         logs = np.log10(imap.indicator[shown])
         lo, hi = logs.min(), logs.max()
         col, row = np.rint(imap.points[shown] / imap.spacing).astype(int).T
         img[k - row, col + k] = 1 + np.rint((logs - lo) / (hi - lo if hi > lo else 1.0) * 254)
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, img, fmt="%d", header=f"P2\n{size} {size}\n255", comments="")
+    _write_table(path, f"P2\n{size} {size}\n255", img, " ", "\n")

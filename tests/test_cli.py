@@ -145,6 +145,15 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, doc, extra, fie
     assert not (tmp_path / "run").exists()
 
 
+def test_unknown_command_exits_2_naming_the_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulat"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'simulat'" in err
+    assert all(name in err for name in ("simulate", "reconstruct", "verify"))
+
+
 def test_seed_flag_refused(capsys):
     # the noise seed is config.noise.seed alone
     with pytest.raises(SystemExit) as exc:
@@ -243,6 +252,7 @@ def test_simulate_refuses_non_coercive(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": bad, "h_target": 0.2, "N": 4})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
     assert "coercivity" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # refused before the output directory is made
 
 
 def test_simulate_refuses_overflowing_stiffness(tmp_path, capsys):

@@ -32,7 +32,8 @@ from eitlsm import (
     write_mask_csv,
 )
 from eitlsm import sampling
-from eitlsm.sampling import MOROZOV_MAX_STEPS, _morozov_rows, _solve_weighted, _write_csv
+from eitlsm.forward import _write_table
+from eitlsm.sampling import MOROZOV_MAX_STEPS, _morozov_rows, _solve_weighted
 from conftest import two_phase_diagonal
 
 
@@ -565,22 +566,35 @@ bit_patterns = st.one_of(
 )
 
 
+# separator, line end, header and the np.savetxt format of the cells, for each
+# table the writer serves: the CSVs, the ND maps and the PGM image
+TABLE_LAYOUTS = {
+    "csv": (",", "\r\n", "x,y,a,b,inside", "%.17g"),
+    "nd": (" ", "\n", "ndmap N 2 provenance noisy(0.01,3)", "%.17g"),
+    "pgm": (" ", "\n", "P2\n5 4\n255", "%d"),
+}
+
+
+@pytest.mark.parametrize("layout", TABLE_LAYOUTS)
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(st.integers(0, 12).flatmap(
     lambda n: st.lists(bit_patterns, min_size=5 * n, max_size=5 * n)), st.data())
-def test_csv_writer_matches_savetxt_bytes(tmp_path_factory, patterns, data):
+def test_table_writer_matches_savetxt_bytes(tmp_path_factory, layout, patterns, data):
     # the cell cache must not change a byte: random float64 bit patterns with
     # repeated values, against np.savetxt with the format the writer documents
+    sep, newline, header, fmt = TABLE_LAYOUTS[layout]
     table = np.array(patterns, dtype=np.int64).view(np.float64).reshape(-1, 5)
     if len(table) and data.draw(st.booleans()):
         table[1::2] = table[0]  # every other row repeats the first
-    inside = table[:, 4] > 0.0
-    path = tmp_path_factory.mktemp("csv")
-    _write_csv(path / "w.csv", table[:, :2], {"a": table[:, 2], "b": table[:, 3], "inside": inside})
-    with open(path / "s.csv", "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([table[:, :4], inside]), fmt="%.17g", delimiter=",",
-                   header="x,y,a,b,inside", comments="", newline="\r\n")
-    assert (path / "w.csv").read_bytes() == (path / "s.csv").read_bytes()
+    if layout == "csv":  # a boolean column, as mask.csv's inside
+        table = np.column_stack([table[:, :4], table[:, 4] > 0.0])
+    elif layout == "pgm":  # pixels are whole numbers 0-255
+        table = table.view(np.int64) % 256
+    path = tmp_path_factory.mktemp(layout)
+    _write_table(path / "w", header, table, sep, newline)
+    with open(path / "s", "w", newline="") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=sep, header=header, comments="", newline=newline)
+    assert (path / "w").read_bytes() == (path / "s").read_bytes()
 
 
 def test_feasible_follows_flag(tmp_path, small_sweep):

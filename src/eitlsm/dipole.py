@@ -81,7 +81,7 @@ class AuxCircle:
     count: int = 128
 
     def __post_init__(self):
-        if self.radius <= 1.0:
+        if not self.radius > 1.0:
             raise ConfigurationError(f"auxiliary radius must exceed 1, got {self.radius}")
         if self.count < 4:
             raise ConfigurationError(f"need at least 4 quadrature nodes, got {self.count}")

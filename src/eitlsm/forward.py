@@ -14,7 +14,8 @@ The boundary ring is uniform, so its quadrature is constant: weight 2pi/nb,
 edge length and mean-constraint entry ell = 2 sin(pi/nb). Trapezoid loads pair
 with the equal-weight DFT trace projection adjoint-exactly, so reciprocity
 M[m,n] = M[-n,-m] holds to solver roundoff; they are also more accurate for the
-ND diagonal than the circulant P1-consistent ("galerkin") load, kept as an option.
+ND diagonal than the P1-consistent ("galerkin") load. That load is circulant on
+the uniform ring, so ``compute_nd_map`` applies it as its symbol on the columns.
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ class FemSystem:
     sector-0 rows. Rings a+1..M fold into a two-port between ring a and the
     current ring, P <- P - Q R^-1 Q^H, Q <- -Q R^-1 L^H, R <- D - L R^-1 L^H,
     joined once in nodal values: S_M = R - Q^H (S_a + P)^-1 Q. S_M bordered by
-    the mean constraint is the one matrix every boundary solve uses. The system is
+    the mean constraint ell is the one matrix every boundary solve uses. The system is
     immutable and safe to share read-only; ``assemble_system`` records ``coercivity``.
     """
 
-    def __init__(self, mesh: DiskMesh, kloc: np.ndarray, constraint: np.ndarray, dense_rings: int):
+    def __init__(self, mesh: DiskMesh, kloc: np.ndarray, dense_rings: int):
         self.mesh = mesh
         self.dense_rings = a = dense_rings
         starts, pairs = mesh.ring_starts, mesh.pair_starts
@@ -133,26 +134,17 @@ class FemSystem:
             far = _solve(schur + _circulant(port), coupling,
                          f"Schur complement of ring {a} with the annulus")
             schur = _circulant(own) - coupling.conj().T @ far
+        constraint = mesh.boundary_edge_lengths()
         self._bordered = np.block([[schur, constraint[:, None]], [constraint, 0.0]])
 
-    def boundary_solve(self, currents, rule: str = "trapezoid") -> np.ndarray:
+    def boundary_solve(self, currents) -> np.ndarray:
         """Boundary traces, shape (nb, k), of the solutions driven by nodal currents (nb, k).
 
-        Each column of ``currents`` is turned into a load b_i = int f phi_i dS:
-        ``trapezoid`` (default) uses the periodic trapezoid rule in angle, the
-        adjoint of the trace projection; ``galerkin`` evaluates the P1-consistent
-        edge mass exactly, a circulant on the uniform ring. All columns share one
+        Each column of ``currents`` is loaded by the periodic trapezoid rule in angle,
+        b = (2pi/nb) f, the adjoint of the trace projection. All columns share one
         solve of the bordered matrix; the Lagrange multiplier absorbs any residual mean.
         """
-        currents = np.asarray(currents, dtype=complex)
-        mesh = self.mesh
-        if rule == "trapezoid":
-            loads = mesh.boundary_weights[:, None] * currents
-        elif rule == "galerkin":  # equal edges ell: the circulant ell/6 (c_{k-1} + 4 c_k + c_{k+1})
-            loads = mesh.boundary_edge_lengths()[:, None] * (
-                4 * currents + np.roll(currents, -1, axis=0) + np.roll(currents, 1, axis=0)) / 6.0
-        else:
-            raise ConfigurationError(f"unknown load rule {rule!r}")
+        loads = 2 * np.pi / self.mesh.n_boundary * np.asarray(currents, dtype=complex)
         rhs = np.vstack([loads, np.zeros_like(loads[:1])])
         sol = _solve(self._bordered, rhs, "boundary matrix bordered by the mean constraint")
         if not np.isfinite(sol).all():
@@ -213,26 +205,35 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     outermost = tris[(gam != np.eye(2)).any(axis=(1, 2))].max(initial=mesh.ring_starts[1])
     dense_rings = int(np.count_nonzero(mesh.ring_starts[1:] <= outermost))
     del p, x, y, det, area, gx, gy, gam, gax, gay  # the rings are eliminated from kloc alone
-    system = FemSystem(mesh, kloc, mesh.boundary_edge_lengths(), dense_rings)
+    system = FemSystem(mesh, kloc, dense_rings)
     system.coercivity = verdict
     return system
 
 
 def compute_nd_map(mesh: DiskMesh, admittance: AdmittanceField, N: int,
                    load_rule: str = "trapezoid") -> NdMap:
-    """FEM Neumann-to-Dirichlet map: columns are traces of mode solves."""
+    """FEM Neumann-to-Dirichlet map: columns are traces of mode solves.
+
+    ``galerkin`` loads the P1-consistent edge mass, not the trapezoid rule of ``boundary_solve``:
+    on the uniform ring the circulant ell (c_{k-1} + 4 c_k + c_{k+1}) / 6, whose symbol
+    ell nb (2 + cos(2 pi n/nb)) / (6 pi) scales column n of the trapezoid map.
+    """
+    if load_rule not in ("trapezoid", "galerkin"):
+        raise ConfigurationError(f"unknown load rule {load_rule!r}")
     check_order(N, mesh.n_boundary)  # before the assembly
-    system = assemble_system(mesh, admittance)
-    return nd_map_from_system(system, N, load_rule=load_rule)
+    nd = nd_map_from_system(assemble_system(mesh, admittance), N)
+    if load_rule == "galerkin":
+        nb, ell = mesh.n_boundary, mesh.boundary_edge_lengths()[0]
+        nd.matrix *= ell * nb / (6 * np.pi) * (2 + np.cos(2 * np.pi * nd.modes / nb))
+    return nd
 
 
-def nd_map_from_system(system: FemSystem, N: int, load_rule: str = "trapezoid") -> NdMap:
-    """ND map from an already assembled system: one boundary solve of the 2N mode currents."""
+def nd_map_from_system(system: FemSystem, N: int) -> NdMap:
+    """ND map from an assembled system: one trapezoid-loaded boundary solve of the 2N mode currents."""
     mesh = system.mesh
     projector = fourier_projector(mesh, N)
     currents = np.exp(1j * np.outer(mesh.boundary_angles, fourier_modes(N)))
-    traces = system.boundary_solve(currents, rule=load_rule)
-    return NdMap(matrix=projector @ traces, N=N, provenance="fem")
+    return NdMap(matrix=projector @ system.boundary_solve(currents), N=N, provenance="fem")
 
 
 def compute_background_nd_map(mesh: DiskMesh, N: int) -> NdMap:

@@ -138,11 +138,6 @@ class DiskMesh:
     def n_boundary(self) -> int:
         return len(self.boundary)
 
-    @property
-    def boundary_weights(self) -> np.ndarray:
-        """Periodic trapezoid weights in angle: the uniform ring gives every vertex 2pi/nb."""
-        return np.full(self.n_boundary, 2 * np.pi / self.n_boundary)
-
     def boundary_edge_lengths(self) -> np.ndarray:
         """Length of boundary edge k = (boundary[k], boundary[k+1]), cyclic: the chord 2 sin(pi/nb)."""
         return np.full(self.n_boundary, 2 * np.sin(np.pi / self.n_boundary))

@@ -121,6 +121,9 @@ class AdmittanceField:
             raise ConfigurationError(f"{len(perturbations)} perturbation entries for "
                                      f"{len(self.components)} inclusion components")
         for k, shape in enumerate(self.components):
+            for name, value in [("center", shape.center), ("tilt", getattr(shape, "tilt", 0.0))]:
+                if not np.isfinite(value).all():  # NaN slips through the comparisons below
+                    raise ConfigurationError(f"inclusions[{k}].{name}: must be finite, got {value}")
             extent = getattr(shape, shape.size_field)
             if not np.all(np.asarray(extent) > 0):  # NaN too
                 raise ConfigurationError(f"inclusions[{k}].{shape.size_field}: must be positive, "

@@ -120,7 +120,7 @@ def tikhonov_solve(data: RelativeData, rhs: BoundaryField, alpha: float) -> Boun
     The returned field has smoothness -1/2 and its Sobolev norm equals the
     Euclidean norm of the weighted solution by construction.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ConfigurationError(f"regularization parameter must be positive, got {alpha}")
     psit, _ = _solve_weighted(data, data.weighted_rhs(rhs), alpha)
     return _unweight(data, psit)
@@ -276,7 +276,7 @@ def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> Moroz
     no bracket it is reported at alpha = hi, 0 when s_1^2 underflows too.
     This is a one-row call into the sweep kernel and ``_solve_weighted``.
     """
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ConfigurationError(f"discrepancy level must be positive, got {delta}")
     phit = data.weighted_rhs(rhs)
     row = _morozov_rows(data, phit[None, :], np.array([float(delta)]))
@@ -329,7 +329,7 @@ def check_cutoff(rule: str, c: float, q: float, where: str = "") -> None:
     if rule not in ("multiplier", "quantile"):
         raise ConfigurationError(
             f"{where}cutoff.rule: expected 'multiplier' or 'quantile', got {rule!r}")
-    if rule == "multiplier" and c < 1.0:
+    if rule == "multiplier" and not c >= 1.0:
         raise ConfigurationError(f"{where}cutoff.c: multiplier must be >= 1, got {c}")
     if rule == "quantile" and not (0.0 < q < 1.0):
         raise ConfigurationError(f"{where}cutoff.q: quantile must lie in (0, 1), got {q}")

@@ -152,8 +152,9 @@ def test_dipole_too_close_to_boundary():
 
 
 def test_aux_circle_validation():
-    with pytest.raises(ConfigurationError):
-        AuxCircle(radius=0.9)
+    for radius in (0.9, float("nan")):
+        with pytest.raises(ConfigurationError, match="auxiliary radius must exceed 1"):
+            AuxCircle(radius=radius)
     aux = AuxCircle(radius=2.0, count=32)
     with pytest.raises(ConfigurationError):
         aux.require_order(8)  # needs >= 36 nodes

@@ -73,6 +73,21 @@ def test_non_positive_size_refused(kind, size, field):
                         [I2, I2])
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("shape,field", [
+    (Disk(center=(NAN, 0.0), radius=0.2), "inclusions[1].center"),
+    (Ellipse(center=(0.3, NAN), semi_axes=(0.2, 0.1)), "inclusions[1].center"),
+    (Ellipse(center=(0.3, 0.0), semi_axes=(0.2, 0.1), tilt=NAN), "inclusions[1].tilt"),
+    (Ellipse(center=(0.3, 0.0), semi_axes=(0.2, 0.1), tilt=float("inf")), "inclusions[1].tilt"),
+], ids=["disk-center-nan", "ellipse-center-nan", "tilt-nan", "tilt-inf"])
+def test_non_finite_placement_refused(shape, field):
+    # a NaN centre or tilt fails every comparison, so the inclusion would vanish from gamma
+    with pytest.raises(ConfigurationError, match=re.escape(field) + ": must be finite"):
+        AdmittanceField([Disk(center=(-0.5, 0.0), radius=0.2), shape], [I2, I2])
+
+
 def test_clearance_enforced():
     with pytest.raises(ConfigurationError, match=r"inclusions\[0\]: touches"):
         disk_field(I2, center=(0.8, 0.0), radius=0.25)

@@ -1,11 +1,18 @@
-"""Property tests of the three input formats: run configs, scenarios and ND files.
+"""Property tests of the three input formats and of the commands that read them.
 
 Every generated document either parses or raises ConfigurationError, never
-another exception; ND files also round-trip bit-exactly. Examples are
+another exception; ND files also round-trip bit-exactly. Cheap run configs go
+through ``simulate`` and then ``reconstruct``, which either write the documented
+run directory or refuse with exit 1 or 2 and one line on stderr. Examples are
 derandomized, so every run draws the same ones.
 """
 
+import contextlib
+import io
+import json
 import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitlsm import ConfigurationError, NdMap, load_nd_map, parse_scenario, save_nd_map
-from eitlsm.cli import parse_run_config
+from eitlsm.cli import main, parse_run_config
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -119,3 +126,55 @@ def test_nd_file_edits_parse_or_reject(path, nd, data):
         load_nd_map(path)
     except ConfigurationError:
         pass
+
+
+# cheap run configs: valid or garbage inclusions on coarse meshes and grids, with settings
+# that are sometimes out of range
+scenes = st.fixed_dictionaries({"inclusions": st.lists(inclusions, min_size=1, max_size=2)})
+runs = st.fixed_dictionaries(
+    {"scenario": scenes,
+     "h_target": st.floats(0.2, 0.5), "N": st.integers(1, 6),
+     "grid": st.fixed_dictionaries({"spacing": st.floats(0.15, 0.3)})},
+    optional={"noise": st.fixed_dictionaries({"level": st.floats(0.0, 0.1),
+                                              "seed": st.integers(0, 5)}),
+              "delta_rule": st.fixed_dictionaries({"epsilon": st.floats(0.0, 0.3)}),
+              "cutoff": st.fixed_dictionaries({"rule": st.sampled_from(["multiplier", "quantile"]),
+                                               "c": st.floats(0.5, 10.0),
+                                               "q": st.floats(0.0, 1.0)})},
+)
+RUN_FILES = sorted(["measured.nd", "background.nd", "simulate_manifest.json", "indicator.csv",
+                    "mask.csv", "indicator.pgm", "reconstruct_manifest.json"])
+
+
+def run_command(command, config, out):
+    """``main`` on one command; a refusal must print one line to stderr, marked by its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(config), "--out", str(out)])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code:
+        assert len(lines) == 1
+        assert lines[0].startswith("configuration error:" if code == 2 else "error:")
+    return code
+
+
+@FIXED
+@given(runs)
+def test_simulate_then_reconstruct_exits_cleanly(doc):
+    # a fresh directory per example: hypothesis refuses function-scoped fixtures like tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "run.json"), Path(tmp, "out")
+        config.write_text(json.dumps(doc))
+        if run_command("simulate", config, out):
+            assert not out.exists()
+            return
+        if run_command("reconstruct", config, out):
+            return
+        assert sorted(p.name for p in out.iterdir()) == RUN_FILES
+        inside = np.loadtxt(out / "mask.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2]
+        feasible = np.loadtxt(out / "indicator.csv", delimiter=",", skiprows=1, ndmin=2)[:, 4]
+        assert not (inside.astype(bool) & ~feasible.astype(bool)).any()
+        written = {name: (out / name).read_bytes() for name in RUN_FILES}
+        assert run_command("reconstruct", config, out) == 0
+        assert written == {name: (out / name).read_bytes() for name in RUN_FILES}

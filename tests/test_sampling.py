@@ -132,12 +132,19 @@ def test_tikhonov_scalar_closed_form():
 
 
 def test_tikhonov_requires_positive_alpha():
-    with pytest.raises(ConfigurationError):
-        tikhonov_solve(scalar_surrogate(1.0), rhs_field(1.0), alpha=0.0)
+    for alpha in (0.0, float("nan")):
+        with pytest.raises(ConfigurationError, match="regularization parameter must be positive"):
+            tikhonov_solve(scalar_surrogate(1.0), rhs_field(1.0), alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
 # Morozov
+
+
+@pytest.mark.parametrize("delta", [0.0, float("nan")])
+def test_morozov_requires_positive_delta(delta):
+    with pytest.raises(ConfigurationError, match="discrepancy level must be positive"):
+        morozov_alpha(scalar_surrogate(0.5), rhs_field(1.0), delta)
 
 
 def test_morozov_infeasible_high():
@@ -475,6 +482,9 @@ def test_estimate_support_rules(small_sweep):
         estimate_support(imap, rule="median")
     with pytest.raises(ConfigurationError):
         estimate_support(imap, rule="quantile", q=1.5)
+    for c in (0.5, float("nan")):  # NaN would mark no point inside
+        with pytest.raises(ConfigurationError, match="cutoff.c: multiplier must be >= 1"):
+            estimate_support(imap, c=c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ __version__ = "0.1.0"
 
 import os as _os
 
-# dense matrices are 2N x 2N in the sweep, 6a x 6a or (6M + 1) square in the FEM (114 and
-# 205 at the default h_target): a BLAS thread per core only competes for the cores
+# dense matrices are 2N x 2N in the sweep, 6a x 6a or (6M + 1) square in the FEM (114 for the
+# reference disk's a = 19 dense rings, 205 at the default h_target 0.03; the default scenario
+# has no inclusion): a BLAS thread per core only competes for the cores
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     _os.environ.setdefault(_var, "1")
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification or feasibility failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import os
@@ -67,8 +68,9 @@ _DEFAULTS = {
     "cutoff": {"rule": "multiplier", "c": DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1},
 }
 
-# the measured and background ND maps in the output directory
+# the measured and background ND maps in the output directory, and reconstruct's outputs
 _ND_FILES = ("measured.nd", "background.nd")
+_RECONSTRUCT_FILES = ("indicator.csv", "mask.csv", "indicator.pgm")
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
         measured = add_noise(measured, cfg.noise_level, cfg.noise_seed)
     background = compute_background_nd_map(mesh, cfg.N)
 
+    # an earlier run's reconstruction would otherwise sit beside the new maps
+    _remove(out_dir, _RECONSTRUCT_FILES + ("reconstruct_manifest.json", "indicator_infeasible.csv"))
     save_nd_map(measured, measured_path)
     save_nd_map(background, background_path)
     manifest_path = _write_manifest(out_dir, "simulate", cfg, {
@@ -197,6 +201,12 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
         "sha256": {name: _sha256(os.path.join(out_dir, name)) for name in _ND_FILES},
     })
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
+
+
+def _remove(out_dir: str, names) -> None:
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
 
 
 def _sha256(path: str) -> str:
@@ -256,12 +266,12 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
         write_indicator_csv(imap, os.path.join(out_dir, "indicator_infeasible.csv"))
         raise EstimationError("every sweep point is infeasible at this discrepancy level")
     mask = estimate_support(imap, **cfg.cutoff)
-    indicator_path = os.path.join(out_dir, "indicator.csv")
-    mask_path = os.path.join(out_dir, "mask.csv")
-    image_path = os.path.join(out_dir, "indicator.pgm")
+    indicator_path, mask_path, image_path = (os.path.join(out_dir, name)
+                                             for name in _RECONSTRUCT_FILES)
     write_indicator_csv(imap, indicator_path)
     write_mask_csv(imap, mask, mask_path)
     write_indicator_pgm(imap, image_path)
+    _remove(out_dir, ("indicator_infeasible.csv",))  # an earlier failed run's evidence
     manifest_path = _write_manifest(out_dir, "reconstruct", cfg, {
         "N": data.N,
         "grid": cfg.grid,
@@ -272,7 +282,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
         "diagnostics": {**sweep_diagnostics(imap, support_cutoff(imap, **cfg.cutoff)),
                         "singular_values": data.singular_values.tolist(),
                         "reciprocity_defect": reciprocity_defect(data.matrix)},
-        "files": ["indicator.csv", "mask.csv", "indicator.pgm"],
+        "files": list(_RECONSTRUCT_FILES),
     })
     return {"indicator": indicator_path, "mask": mask_path, "image": image_path,
             "manifest": manifest_path}

@@ -95,7 +95,7 @@ class DiskMesh:
     triangles : int array (nt, 3)
     ring_starts : int array (M + 2,), the first vertex of each ring, then nv
     pair_starts : int array (M + 1,), the first triangle of each ring pair i (rings i, i + 1), then nt
-    boundary_angles : float array (nb,), polar angle in [0, 2pi) of each boundary vertex
+    boundary_angles : float array (nb,), polar angle 2 pi k / nb of boundary vertex k
     """
 
     h_target: float
@@ -110,6 +110,7 @@ class DiskMesh:
         ang = 2.0 * np.pi * (np.arange(len(ring)) - self.ring_starts[ring]) / size[ring]
         r = ring / M
         self.vertices = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
+        self.boundary_angles = ang[self.ring_starts[-2]:].copy()  # 2 pi k / nb exactly
 
         # Ring pair i (the centre a ring of one) owns triangles [6i^2, 6(i+1)^2): per sector an
         # outer step, then i (inner, outer) pairs; from slots (a, b) they add (a, b, a+1), (a, b, b+1).
@@ -121,9 +122,6 @@ class DiskMesh:
         sa, sb = self.ring_starts[pair], self.ring_starts[pair + 1]
         third = np.where(step % 2 == 1, sa + (a + 1) % na, sb + (b + 1) % nb)
         self.triangles = np.column_stack([sa + a % na, sb + b % nb, third])
-
-        x, y = self.vertices[self.boundary].T
-        self.boundary_angles = np.mod(np.arctan2(y, x), 2 * np.pi)
 
     @property
     def boundary(self) -> np.ndarray:

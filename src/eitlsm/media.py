@@ -56,13 +56,6 @@ class Disk:
         d = np.asarray(points, dtype=float) - np.asarray(self.center)
         return np.einsum("...i,...i->...", d, d) < self.radius**2
 
-    def bounding_radius(self) -> float:
-        """Radius of the smallest origin-independent bounding circle."""
-        return self.radius
-
-    def outer_radius_from_origin(self) -> float:
-        return float(np.hypot(*self.center)) + self.radius
-
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -82,12 +75,6 @@ class Ellipse:
         a, b = self.semi_axes
         return (q[..., 0] / a) ** 2 + (q[..., 1] / b) ** 2 < 1.0
 
-    def bounding_radius(self) -> float:
-        return max(self.semi_axes)
-
-    def outer_radius_from_origin(self) -> float:
-        return float(np.hypot(*self.center)) + max(self.semi_axes)
-
 
 Shape = Disk | Ellipse
 
@@ -104,9 +91,11 @@ class AdmittanceField:
     Parameters
     ----------
     components : list of Disk or Ellipse
-        Every radius or semi-axis is positive, every component closure lies
-        strictly inside the unit disk, and the components' bounding circles
-        are pairwise disjoint (a conservative separation test).
+        Every radius or semi-axis is positive. A component's bounding circle
+        is centred on it, its radius the larger size of ``size_field`` (the
+        radius, or the larger semi-axis); every bounding circle's closure lies
+        strictly inside the unit disk, and the bounding circles are pairwise
+        disjoint (a conservative separation test).
     perturbations : list, one entry per component
         Each entry is a constant finite 2x2 complex matrix h_k, symmetric
         exactly: h[0][1] == h[1][0].
@@ -120,6 +109,7 @@ class AdmittanceField:
         if len(perturbations) != len(self.components):
             raise ConfigurationError(f"{len(perturbations)} perturbation entries for "
                                      f"{len(self.components)} inclusion components")
+        radii = []  # of the bounding circles
         for k, shape in enumerate(self.components):
             for name, value in [("center", shape.center), ("tilt", getattr(shape, "tilt", 0.0))]:
                 if not np.isfinite(value).all():  # NaN slips through the comparisons below
@@ -128,13 +118,14 @@ class AdmittanceField:
             if not np.all(np.asarray(extent) > 0):  # NaN too
                 raise ConfigurationError(f"inclusions[{k}].{shape.size_field}: must be positive, "
                                          f"got {extent}")
-            outer = shape.outer_radius_from_origin()
+            radii.append(float(np.max(extent)))
+            outer = float(np.hypot(*shape.center)) + radii[k]
             if outer >= 1.0:
                 raise ConfigurationError(f"inclusions[{k}]: touches or crosses the unit circle "
                                          f"(outer radius {outer:.6g})")
             for j, other in enumerate(self.components[:k]):
                 gap = np.hypot(*(np.asarray(shape.center) - np.asarray(other.center)))
-                if gap <= shape.bounding_radius() + other.bounding_radius():
+                if gap <= radii[k] + radii[j]:
                     raise ConfigurationError(f"inclusions[{j}] and inclusions[{k}]: "
                                              "overlapping bounding circles")
         self.perturbations = []

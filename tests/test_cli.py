@@ -569,6 +569,45 @@ def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
     rows = (out2 / "indicator_infeasible.csv").read_text().splitlines()[1:]
     assert rows and all(row.endswith(",0") for row in rows)
+    # the real measured map back: a success removes the failed run's evidence
+    (out2 / "measured.nd").write_bytes((out / "measured.nd").read_bytes())
+    assert main(["reconstruct", "--config", cfg, "--out", str(out2)]) == 0
+    assert not (out2 / "indicator_infeasible.csv").exists()
+    assert (out2 / "mask.csv").exists()
+
+
+def test_simulate_removes_an_earlier_reconstruction(tmp_path, capsys):
+    outputs = ("indicator.csv", "mask.csv", "indicator.pgm", "reconstruct_manifest.json",
+               "indicator_infeasible.csv")
+    out = tmp_path / "run"
+    configs = []
+    for k, center in enumerate(([0.3, 0.0], [-0.4, 0.2])):
+        disk = {**SWEEP_DOC["inclusions"][0], "center": center}
+        configs.append(write_config(tmp_path, dict(SMALL_RUN, h_target=0.1, N=8,
+                                                   scenario={"inclusions": [disk]}), f"{k}.json"))
+    assert main(["simulate", "--config", configs[0], "--out", str(out)]) == 0
+    assert main(["reconstruct", "--config", configs[0], "--out", str(out)]) == 0
+    (out / "indicator_infeasible.csv").write_text("x,y,indicator,alpha,feasible\n")
+    assert main(["simulate", "--config", configs[1], "--out", str(out)]) == 0
+    assert not [name for name in outputs if (out / name).exists()]
+    manifest = json.loads((out / "simulate_manifest.json").read_text())
+    assert manifest["config"]["scenario"]["inclusions"][0]["center"] == [-0.4, 0.2]
+
+    # a refused simulate, exit 1 or 2, leaves the directory as it was
+    assert main(["reconstruct", "--config", configs[1], "--out", str(out)]) == 0
+    (out / "indicator_infeasible.csv").write_text("x,y,indicator,alpha,feasible\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(outputs) <= set(before)
+    non_coercive = {"shape": "disk", "center": [0.0, 0.0], "radius": 0.3,
+                    "h": [[-3.0, 0.0], [0.0, -3.0]]}
+    bad_radius = {**SWEEP_DOC["inclusions"][0], "radius": -0.25}
+    for code, disk in ((1, non_coercive), (2, bad_radius)):
+        cfg = write_config(tmp_path, dict(SMALL_RUN, h_target=0.1, N=8,
+                                          scenario={"inclusions": [disk]}), "bad.json")
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error" if code == 1 else "configuration error")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("epsilon", [1.0, 2.0])

@@ -89,10 +89,14 @@ def test_non_finite_placement_refused(shape, field):
 
 
 def test_clearance_enforced():
-    with pytest.raises(ConfigurationError, match=r"inclusions\[0\]: touches"):
+    # the outer radius is the centre's distance plus the larger size of the shape
+    touches = r"inclusions\[0\]: touches or crosses the unit circle \(outer radius 1\.05\)"
+    with pytest.raises(ConfigurationError, match=touches):
         disk_field(I2, center=(0.8, 0.0), radius=0.25)
-    fld = disk_field(I2, center=(0.4, 0.0), radius=0.25)
-    assert fld.components[0].outer_radius_from_origin() == pytest.approx(0.65)
+    with pytest.raises(ConfigurationError, match=touches):
+        AdmittanceField([Ellipse(center=(0.75, 0.0), semi_axes=(0.3, 0.1))], [I2])
+    AdmittanceField([Ellipse(center=(0.5, 0.0), semi_axes=(0.3, 0.1))], [I2])
+    disk_field(I2, center=(0.4, 0.0), radius=0.25)
 
 
 def test_disjoint_components_enforced():
@@ -102,6 +106,12 @@ def test_disjoint_components_enforced():
     with pytest.raises(ConfigurationError, match=r"inclusions\[0\] and inclusions\[1\]"):
         AdmittanceField([Ellipse(center=(-0.1, 0.0), semi_axes=(0.3, 0.2)),
                          Ellipse(center=(0.2, 0.1), semi_axes=(0.25, 0.15))], [I2, I2])
+    # an ellipse and a disk apart along its short axis: refused while the gap is at most
+    # the larger semi-axis 0.3 plus r 0.2
+    ellipse = Ellipse(center=(-0.4, 0.0), semi_axes=(0.1, 0.3))
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\] and inclusions\[1\]: overlap"):
+        AdmittanceField([ellipse, Disk(center=(0.09, 0.0), radius=0.2)], [I2, I2])
+    AdmittanceField([ellipse, Disk(center=(0.11, 0.0), radius=0.2)], [I2, I2])
 
 
 def test_perturbation_count_enforced():

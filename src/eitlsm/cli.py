@@ -18,7 +18,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,15 +75,16 @@ _RECONSTRUCT_FILES = ("indicator.csv", "mask.csv", "indicator.pgm")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run: ``noise``, ``grid``, ``delta_rule`` and ``cutoff`` are the sections
+    with their defaults filled, ``raw`` the document as given."""
     scenario: object
     h_target: float
     N: int
-    noise_level: float
-    noise_seed: int
+    noise: dict
     grid: dict
-    epsilon: float
+    delta_rule: dict
     cutoff: dict
-    raw: dict = field(default_factory=dict)
+    raw: dict
 
 
 def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
@@ -112,29 +113,19 @@ def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
     level = json_number(noise["level"], "config.noise.level")
     if not (0.0 <= level < 1.0):
         raise ConfigurationError(f"config.noise.level: must lie in [0, 1), got {level}")
-    seed = json_number(noise["seed"], "config.noise.seed", integer=True)
-    if seed < 0:
-        raise ConfigurationError(f"config.noise.seed: must be >= 0, got {seed}")
-    epsilon = json_number(delta["epsilon"], "config.delta_rule.epsilon")
+    noise = {"level": level, "seed": json_number(noise["seed"], "config.noise.seed", integer=True)}
+    if noise["seed"] < 0:
+        raise ConfigurationError(f"config.noise.seed: must be >= 0, got {noise['seed']}")
+    delta = {"epsilon": json_number(delta["epsilon"], "config.delta_rule.epsilon")}
     grid = {key: json_number(grid[key], f"config.grid.{key}") for key in ("spacing", "r_max")}
     if grid["r_max"] < 0.0:  # the library accepts an empty grid; a run on it finds no point
         raise ConfigurationError(f"config.grid.r_max: must be >= 0, got {grid['r_max']}")
-    check_sweep_settings(grid["spacing"], grid["r_max"], epsilon, where="config.")
+    check_sweep_settings(grid["spacing"], grid["r_max"], delta["epsilon"], where="config.")
     cutoff = {"rule": cutoff["rule"], "c": json_number(cutoff["c"], "config.cutoff.c"),
               "q": json_number(cutoff["q"], "config.cutoff.q")}
     check_cutoff(**cutoff, where="config.")
 
-    return RunConfig(
-        scenario=scenario_field,
-        h_target=h_target,
-        N=n_order,
-        noise_level=level,
-        noise_seed=seed,
-        grid=grid,
-        epsilon=epsilon,
-        cutoff=cutoff,
-        raw=doc,
-    )
+    return RunConfig(scenario_field, h_target, n_order, noise, grid, delta, cutoff, raw=doc)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -171,8 +162,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)  # after the refusals: a refused run leaves no directory
     coercivity = system.coercivity
     measured = nd_map_from_system(system, cfg.N)
-    if cfg.noise_level > 0.0:
-        measured = add_noise(measured, cfg.noise_level, cfg.noise_seed)
+    if cfg.noise["level"] > 0.0:
+        measured = add_noise(measured, **cfg.noise)
     background = compute_background_nd_map(mesh, cfg.N)
 
     # an earlier run's reconstruction would otherwise sit beside the new maps
@@ -187,7 +178,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
             "boundary": mesh.n_boundary,
         },
         "N": cfg.N,
-        "noise": {"level": cfg.noise_level, "seed": cfg.noise_seed},
+        "noise": cfg.noise,
         "assumptions": {
             "coercivity": {"holds": coercivity["holds"], "alpha": coercivity["alpha"],
                            "z": [coercivity["z"].real, coercivity["z"].imag]},
@@ -260,7 +251,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     except ConfigurationError as exc:
         raise ConfigurationError(f"{measured_path} and {background_path}: {exc}") from None
     # no mesh: the sweep takes the closed-form disk dipole traces
-    imap = indicator_map(data, None, cfg.grid, {"epsilon": cfg.epsilon})
+    imap = indicator_map(data, None, cfg.grid, cfg.delta_rule)
     if not imap.feasible.any():
         # keep the evidence without clobbering any earlier successful output
         write_indicator_csv(imap, os.path.join(out_dir, "indicator_infeasible.csv"))
@@ -275,7 +266,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     manifest_path = _write_manifest(out_dir, "reconstruct", cfg, {
         "N": data.N,
         "grid": cfg.grid,
-        "delta_rule": {"epsilon": cfg.epsilon},
+        "delta_rule": cfg.delta_rule,
         "cutoff": cfg.cutoff,
         "feasible_points": int(imap.feasible.sum()),
         "total_points": len(imap),

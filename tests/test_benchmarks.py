@@ -3,11 +3,13 @@
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 import pytest
 
-TRACED = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "benchmarks", "traced.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACED = os.path.join(ROOT, "benchmarks", "traced.py")
 
 
 def load_traced():
@@ -23,3 +25,14 @@ def test_traced_layer_functions_resolve(module_name, attr, span):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner), f"{module_name}.{attr} ({span})"
+
+
+def test_cli_import_loads_every_traced_module():
+    # Tracer.install reads sys.modules[name] right after `import eitlsm.cli`:
+    # a module the CLI imported lazily would make every traced run raise KeyError
+    names = sorted({module_name for module_name, _, _ in load_traced().LAYER_FUNCTIONS})
+    code = f"import sys, eitlsm.cli; print([n for n in {names!r} if n not in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]", f"not loaded by import eitlsm.cli: {proc.stdout}"

@@ -38,9 +38,18 @@ def test_defaults_and_sections():
     cfg = parse_run_config({})
     assert cfg.h_target == 0.03
     assert cfg.N == 16
-    assert cfg.noise_level == 0.0
+    assert cfg.noise == {"level": 0.0, "seed": 0}
     assert cfg.grid == {"spacing": 0.05, "r_max": 0.9}
-    assert cfg.cutoff["rule"] == "multiplier"
+    assert cfg.delta_rule == {"epsilon": 0.01}
+    assert cfg.cutoff == {"rule": "multiplier", "c": cli.DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1}
+    assert cfg.raw == {}
+    # a partial section is filled from the defaults, its numbers as JSON numbers parse
+    doc = {"noise": {"seed": 3.0}, "grid": {"r_max": 0}, "cutoff": {"rule": "quantile"}}
+    cfg = parse_run_config(doc)
+    assert cfg.noise == {"level": 0.0, "seed": 3} and type(cfg.noise["seed"]) is int
+    assert cfg.grid == {"spacing": 0.05, "r_max": 0.0} and type(cfg.grid["r_max"]) is float
+    assert cfg.cutoff == {"rule": "quantile", "c": cli.DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1}
+    assert cfg.raw is doc
 
 
 def test_unknown_keys_rejected():

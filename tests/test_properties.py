@@ -4,12 +4,14 @@ Every generated document either parses or raises ConfigurationError, never
 another exception; ND files also round-trip bit-exactly. Cheap run configs go
 through ``simulate`` and then ``reconstruct``, which either write the documented
 run directory or refuse with exit 1 or 2 and one line on stderr. Examples are
-derandomized, so every run draws the same ones.
+derandomized, so every run draws the same ones. Damaged copies of one
+simulated run directory go through ``reconstruct`` the same way.
 """
 
 import contextlib
 import io
 import json
+import shutil
 import string
 import tempfile
 from pathlib import Path
@@ -114,14 +116,18 @@ def test_nd_file_round_trips_bit_exactly(path, nd):
     assert back.matrix.tobytes() == nd.matrix.tobytes()
 
 
+def edit(text: bytes, data) -> bytes:
+    """``text`` with up to 8 bytes replaced by up to 8 drawn bytes, at a drawn place."""
+    start = data.draw(st.integers(0, len(text)))
+    stop = data.draw(st.integers(start, min(len(text), start + 8)))
+    return text[:start] + data.draw(st.binary(max_size=8)) + text[stop:]
+
+
 @FIXED
 @given(nd_maps, st.data())
 def test_nd_file_edits_parse_or_reject(path, nd, data):
     save_nd_map(nd, path)
-    text = path.read_bytes()
-    start = data.draw(st.integers(0, len(text)))
-    stop = data.draw(st.integers(start, min(len(text), start + 8)))
-    path.write_bytes(text[:start] + data.draw(st.binary(max_size=8)) + text[stop:])
+    path.write_bytes(edit(path.read_bytes(), data))
     try:
         load_nd_map(path)
     except ConfigurationError:
@@ -146,9 +152,10 @@ RUN_FILES = sorted(["measured.nd", "background.nd", "simulate_manifest.json", "i
                     "mask.csv", "indicator.pgm", "reconstruct_manifest.json"])
 
 
-def run_command(command, config, out):
-    """``main`` on one command; a refusal must print one line to stderr, marked by its code."""
-    err = io.StringIO()
+def run_command(command, config, out, err=None):
+    """``main`` on one command; a refusal must print one line to stderr (kept in ``err``,
+    when given), marked by its code."""
+    err = io.StringIO() if err is None else err
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main([command, "--config", str(config), "--out", str(out)])
     assert code in (0, 1, 2)
@@ -178,3 +185,39 @@ def test_simulate_then_reconstruct_exits_cleanly(doc):
         written = {name: (out / name).read_bytes() for name in RUN_FILES}
         assert run_command("reconstruct", config, out) == 0
         assert written == {name: (out / name).read_bytes() for name in RUN_FILES}
+
+
+DISK_RUN = {"scenario": {"inclusions": [{"shape": "disk", "center": [0.3, 0.0], "radius": 0.25,
+                                         "h": [[2.0, 0.0], [0.0, 2.0]]}]},
+            "h_target": 0.3, "N": 4, "grid": {"spacing": 0.3}}
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """One cheap simulated run directory and its config, shared by the examples."""
+    tmp = tmp_path_factory.mktemp("damaged")
+    config, out = tmp / "run.json", tmp / "run"
+    config.write_text(json.dumps(DISK_RUN))
+    assert run_command("simulate", config, out) == 0
+    return config, out
+
+
+@FIXED
+@given(st.sampled_from(["measured.nd", "background.nd"]), st.booleans(), st.data())
+def test_reconstruct_of_damaged_nd_files_exits_cleanly(simulated, name, with_manifest, data):
+    config, run = simulated
+    with tempfile.TemporaryDirectory() as tmp:
+        for copied in ("measured.nd", "background.nd"):
+            shutil.copy(run / copied, tmp)
+        if with_manifest:
+            shutil.copy(run / "simulate_manifest.json", tmp)
+        path = Path(tmp, name)
+        text = path.read_bytes()
+        edited = edit(text, data)
+        path.write_bytes(edited)
+        err = io.StringIO()
+        code = run_command("reconstruct", config, tmp, err)
+        if code == 2:
+            assert "measured.nd" in err.getvalue() or "background.nd" in err.getvalue()
+        if with_manifest and edited != text:
+            assert code == 2  # the manifest's SHA-256 no longer matches

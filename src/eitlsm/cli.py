@@ -68,9 +68,10 @@ _DEFAULTS = {
     "cutoff": {"rule": "multiplier", "c": DEFAULT_CUTOFF_MULTIPLIER, "q": 0.1},
 }
 
-# the measured and background ND maps in the output directory, and reconstruct's outputs
+# the ND maps in the output directory, reconstruct's outputs, and every name it writes
 _ND_FILES = ("measured.nd", "background.nd")
 _RECONSTRUCT_FILES = ("indicator.csv", "mask.csv", "indicator.pgm")
+_RECONSTRUCT_WRITES = _RECONSTRUCT_FILES + ("reconstruct_manifest.json", "indicator_infeasible.csv")
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,10 @@ def _write_manifest(out_dir: str, mode: str, cfg: RunConfig, extra: dict) -> str
 def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     """Simulate ND data: measured (optionally noisy) + background + manifest."""
     check_mesh_settings(cfg.h_target, cfg.N, where="config.")
+    # its own files, and an earlier reconstruction's, which it removes below
+    _refuse_directories(out_dir, "simulate", _ND_FILES + ("simulate_manifest.json",)
+                        + _RECONSTRUCT_WRITES)
     measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
-    for path in (measured_path, background_path):
-        if os.path.isdir(path):
-            raise ConfigurationError(f"{path}: a directory where simulate writes an ND file")
     mesh = build_disk_mesh(cfg.h_target)
     absorption = check_absorption(cfg.scenario)
     system = assemble_system(mesh, cfg.scenario)  # refuses if coercivity fails
@@ -167,7 +168,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     background = compute_background_nd_map(mesh, cfg.N)
 
     # an earlier run's reconstruction would otherwise sit beside the new maps
-    _remove(out_dir, _RECONSTRUCT_FILES + ("reconstruct_manifest.json", "indicator_infeasible.csv"))
+    _remove(out_dir, _RECONSTRUCT_WRITES)
     save_nd_map(measured, measured_path)
     save_nd_map(background, background_path)
     manifest_path = _write_manifest(out_dir, "simulate", cfg, {
@@ -194,6 +195,13 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     return {"measured": measured_path, "background": background_path, "manifest": manifest_path}
 
 
+def _refuse_directories(out_dir: str, command: str, names) -> None:
+    """Refuse a directory at any of ``names`` in ``out_dir``, before ``command`` does any work."""
+    for path in (os.path.join(out_dir, name) for name in names):
+        if os.path.isdir(path):
+            raise ConfigurationError(f"{path}: a directory where {command} writes or removes a file")
+
+
 def _remove(out_dir: str, names) -> None:
     for name in names:
         with contextlib.suppress(FileNotFoundError):
@@ -208,15 +216,15 @@ def _sha256(path: str) -> str:
 
 def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
     """Refuse ND files whose ``simulate_manifest.json`` in ``out_dir`` records
-    another mesh size or order, or other SHA-256 digests; ND files without a
-    manifest, or with one that records no digests, are taken as is."""
+    another mesh size or order, or other SHA-256 digests, and a manifest that
+    records no digests; ND files without a manifest are taken as is."""
     path = os.path.join(out_dir, "simulate_manifest.json")
     if not os.path.exists(path):
         return
     manifest = read_json(path, "simulate manifest")
     try:
         simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
-        digests = {name: manifest["sha256"][name] for name in _ND_FILES if "sha256" in manifest}
+        digests = {name: manifest["sha256"][name] for name in _ND_FILES}
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path}: unreadable simulate manifest ({exc!r})") from None
     for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N)):
@@ -236,6 +244,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     """Full sweep from the two ND-map files to indicator, mask and image outputs."""
     # no mesh is built here, but the config is refused as simulate refuses it
     check_mesh_settings(cfg.h_target, cfg.N, where="config.")
+    _refuse_directories(out_dir, "reconstruct", _RECONSTRUCT_WRITES)
     _check_simulated_with(cfg, out_dir)
     measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
     measured, background = load_nd_map(measured_path), load_nd_map(background_path)

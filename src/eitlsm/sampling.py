@@ -8,11 +8,11 @@ coordinates: with W_s = diag(|n|^s) the functional
 becomes an ordinary least-squares problem for the matrix W_{1/2} A W_{1/2},
 whose SVD is computed once per data set and reused by every sweep point.
 The Morozov parameter alpha(delta) is found by Newton steps on 1/residual -
-1/delta in x = 1/alpha, using the strict monotonicity of the residual. Since
-Vh is unitary, the residual and the solution norm depend only on s^2 and
-|U^H phi|^2, so the search runs on the x and y dipoles of a block of sweep
-points at once, as whole-array operations, and no solution vector is formed
-for the indicator.
+1/delta in x = 1/alpha, concave in x, which rise to the root from left of it.
+Since Vh is unitary, the residual and the solution norm depend only on s^2
+and |U^H phi|^2, so the search runs on the x and y dipoles of a block of
+sweep points at once, as whole-array operations, and no solution vector is
+formed for the indicator.
 
 The indicator I(y) = ||psi_y^delta||_{-1/2} is small where the dipole trace
 is (approximately) in the range of the data operator - i.e. inside the
@@ -177,11 +177,10 @@ def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _MorozovRows:
     """Morozov's alpha for every row of ``phit`` (R, 2N) at once.
 
-    Rules and flags are those of ``morozov_alpha``. One product gives r^2 of
-    every row at the knots x = 1/s_k^2 and their geometric midpoints, so each
-    row starts in its knot interval; the Newton steps then act on all rows
-    not yet converged. Every operation acts on each row alone, so a row's
-    result does not depend on the batch it is solved in.
+    Rules and flags are those of ``morozov_alpha``. Each row starts left of its
+    root, and plain Newton steps act on all rows not yet converged. Every
+    operation acts on each row alone, so a row's result does not depend on the
+    batch it is solved in.
     """
     s = data.singular_values
     s2 = s**2
@@ -211,51 +210,38 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
     steps = np.zeros(len(phit), dtype=int)
 
     idx = np.flatnonzero(~high & ~low)
-    d, f, c = delta[idx], floor[idx], ceiling[idx]
+    d = delta[idx]
     # With U unitary, sum |beta_i|^2 = c^2, so r(alpha) >= alpha / (s_1^2 + alpha) * c,
-    # which reaches d at hi; and with s_min the least positive singular value,
-    # r(alpha)^2 <= f^2 + (alpha / s_min^2)^2 (c^2 - f^2), which is at most d^2 at lo.
-    # In x = 1/alpha the root lies in [1/hi, 1/lo].
-    hi = s2[0] * d / (c - d)
-    s_min2 = s[s > 0.0][-1] ** 2 if s[0] > 0.0 else 0.0
-    x_lo, x_hi = 1.0 / hi, 1.0 / (s_min2 * np.sqrt((d - f) / (c - f) * ((d + f) / (c + f))))
-    stuck = ~np.isfinite(x_hi)  # no usable bracket (1/lo overflows): reported at hi
+    # which reaches d at hi: in x = 1/alpha the root lies right of 1/hi
+    hi = s2[0] * d / (ceiling[idx] - d)
+    stuck = ~np.isfinite(1.0 / hi)  # as when s_1^2 underflows: reported at hi
     alpha[idx[stuck]] = hi[stuck]
     fixed = np.concatenate([np.flatnonzero(low), idx[stuck]])  # by the filter, free of overflow
     fb, gb = (part * np.sqrt(beta2[fixed]) for part in _tikhonov_filter(s, alpha[fixed]))
     residual[fixed], indicator[fixed] = np.hypot.reduce(gb, axis=1), np.hypot.reduce(fb, axis=1)
-    live = np.flatnonzero(~stuck)  # if any, 1/s_min^2 is a finite knot
+    live = np.flatnonzero(~stuck)
+    # the start: the larger of 1/hi and the last knot left of the root (0 if there is none)
     knots = 1.0 / s2[(s2 > 0.0) & (1.0 / s2 < np.inf)]
     knots = np.sort(np.concatenate([knots, np.sqrt(knots[1:]) * np.sqrt(knots[:-1])]))
     b2 = beta2 if len(live) == len(phit) else beta2[idx[live]]
-    d, x_lo, x_hi = d[live], x_lo[live], x_hi[live]
+    d = d[live]
     at_knots = _rowwise(b2, (1.0 / (1.0 + np.outer(s2, knots))) ** 2)  # r^2, (n, K)
     left = (at_knots > (d**2)[:, None]).sum(axis=1)  # knots left of the root
-    edges = np.concatenate([[0.0], knots, [np.inf]])
-    x_lo, x_hi = np.maximum(x_lo, edges[left]), np.minimum(x_hi, edges[left + 1])
-    # log-log interpolation of r^2 in the knot interval, or out of the first or the
-    # last one; a lone knot gives k = -1, and 0/0 sends the start to the midpoint
-    k = np.clip(left - 1, 0, len(knots) - 2)[:, None]
-    ra, rb = (np.log(np.take_along_axis(at_knots, k + j, 1)[:, 0]) for j in (0, 1))
-    ka, kb = np.log(knots[k[:, 0]]), np.log(knots[k[:, 0] + 1])
-    xl = np.exp(ka + (2.0 * np.log(d) - ra) / (rb - ra) * (kb - ka))
+    # with w = 1/(1 + s^2 x) and v = s^2 w, (1/r)'' <= 0 is (sum b2 w^2 v)^2 <= r^2 sum b2 w^2 v^2,
+    # Cauchy-Schwarz: 1/r is concave in x, so Newton from left of the root climbs to it
+    x = np.maximum(1.0 / hi[live], np.concatenate([[0.0], knots])[left])
     work = np.empty((3, *b2.shape))
     for _ in range(MOROZOV_MAX_STEPS):
-        # a step that leaves the bracket takes its geometric midpoint instead
-        xl = np.where((xl > x_lo) & (xl < x_hi), xl, np.sqrt(x_lo) * np.sqrt(x_hi))
         rows = idx[live]
         steps[rows] += 1
-        r, psi, slope = newton_terms(xl, b2, *work[:, : len(live)])
-        alpha[rows], residual[rows], indicator[rows] = 1.0 / xl, r, psi
-        hit = np.abs(r - d) <= MOROZOV_RTOL * d
-        if hit.any():
-            live, b2, d, r, slope, xl, x_lo, x_hi = (
-                v[~hit] for v in (live, b2, d, r, slope, xl, x_lo, x_hi))
+        r, psi, slope = newton_terms(x, b2, *work[:, : len(live)])
+        alpha[rows], residual[rows], indicator[rows] = 1.0 / x, r, psi
+        x = x + r * r * (r - d) / (d * slope)  # Newton on 1/r(x) - 1/d
+        going = ~(np.abs(r - d) <= MOROZOV_RTOL * d) & np.isfinite(x)
+        if not going.all():
+            live, b2, d, x = (v[going] for v in (live, b2, d, x))
         if not len(live):
             break
-        below = r < d  # the root lies left of xl
-        x_lo, x_hi = np.where(below, x_lo, xl), np.where(below, xl, x_hi)
-        xl = xl + r * r * (r - d) / (d * slope)  # Newton on 1/r(x) - 1/d
 
     missed = ~(np.abs(residual[idx] - delta[idx]) <= MOROZOV_RTOL * delta[idx])  # or not finite
     flag[idx[missed]] = "not-converged"  # such a row keeps the values of its last step
@@ -266,15 +252,15 @@ def morozov_alpha(data: RelativeData, rhs: BoundaryField, delta: float) -> Moroz
     """Select alpha so that the residual matches the discrepancy level delta.
 
     residual(alpha) increases strictly from the alpha -> 0 floor f to
-    c = ||rhs||; Newton steps on 1/residual - 1/delta in x = 1/alpha, kept in
-    the closed-form bracket [1/hi, 1/lo] of ``_morozov_rows``, bring it within
-    MOROZOV_RTOL of delta. Outside the feasible window the result is
-    flagged: below the floor the alpha -> 0 (minimum-norm) solution is
-    returned, at or above ||rhs|| the zero current already satisfies the
-    constraint. A search that fails (1/lo overflowing, as when s_min^2
-    underflows, or MOROZOV_MAX_STEPS spent) is flagged "not-converged"; with
-    no bracket it is reported at alpha = hi, 0 when s_1^2 underflows too.
-    This is a one-row call into the sweep kernel and ``_solve_weighted``.
+    c = ||rhs||; Newton steps on 1/residual - 1/delta, concave in x = 1/alpha,
+    rise from 1/hi or a knot left of the root until the residual is within
+    MOROZOV_RTOL of delta. Outside the feasible window the result is flagged:
+    below the floor the alpha -> 0 (minimum-norm) solution is returned, at or
+    above ||rhs|| the zero current already satisfies the constraint. A search
+    that fails is flagged "not-converged", at its last finite step (an iterate
+    overflows, as when s_min^2 underflows, or MOROZOV_MAX_STEPS are spent), or
+    at alpha = hi when 1/hi overflows (0 when s_1^2 underflows too). This is
+    a one-row call into the sweep kernel and ``_solve_weighted``.
     """
     if not delta > 0.0:
         raise ConfigurationError(f"discrepancy level must be positive, got {delta}")

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -450,11 +451,14 @@ def test_reconstruct_refuses_nd_file_of_another_run(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("configuration error")
     assert str(run / "background.nd") in err[0] and "measured.nd" not in err[0]
     assert not (run / "indicator.csv").exists()
-    # a manifest without digests, as written before they were recorded, is checked for
-    # mesh.h_target and N alone, and the mix goes through
+    # a manifest without digests is unreadable: the mix is refused, naming the manifest
     del manifest["sha256"]
     (run / "simulate_manifest.json").write_text(json.dumps(manifest))
-    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
+    assert str(run / "simulate_manifest.json") in err[0] and "sha256" in err[0]
+    assert not (run / "indicator.csv").exists()
 
 
 @pytest.mark.parametrize("order", [6, 10])
@@ -617,6 +621,37 @@ def test_simulate_removes_an_earlier_reconstruction(tmp_path, capsys):
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith("error" if code == 1 else "configuration error")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def snapshot(run):
+    return {path.name: path.read_bytes() if path.is_file() else "dir" for path in run.iterdir()}
+
+
+@pytest.mark.parametrize("command,names", [
+    ("simulate", ("simulate_manifest.json", "indicator.csv", "mask.csv", "indicator.pgm",
+                  "reconstruct_manifest.json", "indicator_infeasible.csv")),
+    ("reconstruct", ("indicator.csv", "mask.csv", "indicator.pgm", "reconstruct_manifest.json",
+                     "indicator_infeasible.csv")),
+])
+def test_directory_at_a_name_the_command_writes_leaves_out_as_it_was(small_run, tmp_path, capsys,
+                                                                      command, names):
+    # another scenario for simulate, another epsilon for reconstruct; a directory at any
+    # name the command writes or removes is refused before any work, byte for byte
+    _, _, out = small_run
+    disk = {**SWEEP_DOC["inclusions"][0], "center": [-0.4, 0.2]}
+    cfg = write_config(tmp_path, dict(SMALL_RUN, delta_rule={"epsilon": 0.05},
+                                      scenario={"inclusions": [disk]}))
+    for name in names:
+        run = tmp_path / name
+        shutil.copytree(out, run)
+        (run / name).unlink(missing_ok=True)
+        (run / name).mkdir()
+        before = snapshot(run)
+        assert main([command, "--config", cfg, "--out", str(run)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
+        assert str(run / name) in err[0]
+        assert snapshot(run) == before
 
 
 @pytest.mark.parametrize("epsilon", [1.0, 2.0])

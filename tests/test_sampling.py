@@ -227,9 +227,8 @@ def test_noise_monotonicity_in_delta():
 
 
 def test_morozov_underflow_not_converged():
-    # s_2^2 underflows to 0, so the residual never drops below 1 > delta and
-    # the closed-form lower bracket s_min^2 * sqrt(...) is 0: flagged, never
-    # reported as "ok"
+    # s_2^2 underflows to 0, so the residual never drops below 1 > delta and the
+    # Newton iterate grows until it overflows: flagged, never reported as "ok"
     data = RelativeData(np.diag([1.0, 1e-200]), 1)
     res = morozov_alpha(data, BoundaryField([1.0, 1.0], 1, 0.5), 0.5)
     assert res.flag == "not-converged"
@@ -237,7 +236,7 @@ def test_morozov_underflow_not_converged():
 
 
 def test_morozov_squares_underflowing_to_zero():
-    # every s^2 underflows, so the upper bracket end hi is 0 as well: the row is
+    # every s^2 underflows, so hi = s_1^2 delta / (c - delta) is 0 and the row is
     # reported at alpha 0, where the filter 1/(s + alpha/s) is 1/s, with finite values
     data = RelativeData(np.diag([1e-170, 1e-170]), 1)
     res = morozov_alpha(data, BoundaryField([1.0, 1.0], 1, 0.5), 0.5)
@@ -251,21 +250,54 @@ def test_morozov_squares_underflowing_to_zero():
 
 
 def log_bisection_alpha(s, beta2, delta):
-    """Reference Morozov alpha: 200 bisection steps in log(alpha) over [1e-320, 1e10]."""
-    lo, hi = np.log(1e-320), np.log(1e10)
+    """Reference Morozov alpha of each row of ``beta2`` against ``delta``: 200 bisection
+    steps in log(alpha) over [1e-320, 1e10]."""
+    lo, hi = np.full(np.shape(delta), np.log(1e-320)), np.full(np.shape(delta), np.log(1e10))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        alpha = np.exp(mid)
-        if np.sqrt(((alpha / (s**2 + alpha)) ** 2 * beta2).sum()) < delta:
-            lo = mid
-        else:
-            hi = mid
+        alpha = np.exp(mid)[..., None]
+        below = np.sqrt(((alpha / (s**2 + alpha)) ** 2 * beta2).sum(axis=-1)) < delta
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return np.exp(0.5 * (lo + hi))
+
+
+def test_inverse_residual_is_concave_in_x():
+    # the premise of the Newton search: with w = 1/(1 + s^2 x), c = s^2 w and
+    # r^2 = sum b w^2, (1/r)'' <= 0 in x is (sum b w^2 c)^2 <= r^2 sum b w^2 c^2,
+    # here on spectra with exact zeros and with s^2 that underflows
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        s = np.sort(10.0 ** rng.uniform(-200.0, 0.0, 16))[::-1]
+        s[rng.random(16) < 0.2] = 0.0
+        s2 = s**2
+        b = np.abs(rng.standard_normal(16)) ** 2 * (rng.random(16) < 0.8)
+        x = 10.0 ** rng.uniform(-10.0, 300.0, (50, 1))
+        w = 1.0 / (1.0 + s2 * x)
+        c = s2 * w
+        lhs = (b * w**2 * c).sum(axis=1) ** 2
+        assert (lhs <= (1 + 1e-12) * (b * w**2).sum(axis=1) * (b * w**2 * c**2).sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("s_min", [1e-5, 1e-17, 1e-60])
+def test_morozov_newton_reaches_every_row_of_a_wide_spectrum(s_min):
+    # delta/||phi|| from 0.3 down to 1e-12: every row converges, where a plain
+    # bisection lands, in at most 12 residual evaluations
+    N = 8
+    s = np.logspace(0.0, np.log10(s_min), 2 * N)
+    data = RelativeData(np.diag(s / np.abs(fourier_modes(N))), N)
+    rng = np.random.default_rng(6)
+    phit = rng.standard_normal((400, 2 * N)) + 1j * rng.standard_normal((400, 2 * N))
+    delta = np.geomspace(0.3, 1e-12, 400) * np.linalg.norm(phit, axis=1)
+    rows = _morozov_rows(data, phit, delta)
+    assert (rows.flag == "ok").all()
+    assert rows.steps.max() <= 12
+    reference = log_bisection_alpha(s, np.abs(phit @ data.U.conj()) ** 2, delta)
+    assert (np.abs(np.log(rows.alpha / reference)) <= 1e-6).all()
 
 
 def test_morozov_bracket_spans_a_wide_spectrum():
     # singular values from 1 down to 1e-150: the smallest-residual rows need
-    # alpha down to 3e-308, which the closed-form bracket still encloses
+    # alpha down to 3e-308, and the Newton search still reaches it
     N = 8
     s = np.logspace(0.0, -150.0, 2 * N)
     data = RelativeData(np.diag(s / np.abs(fourier_modes(N))), N)
@@ -286,10 +318,10 @@ def test_morozov_bracket_spans_a_wide_spectrum():
         assert np.linalg.norm(psit) == pytest.approx(rows.indicator[i], rel=1e-12)
 
 
-def test_newton_step_leaving_the_bracket_takes_the_midpoint():
-    # singular values 1 and 0.01 and a right-hand side mostly on the first: from
-    # the knot-interval start the first two Newton steps land outside the
-    # bracket, and the safeguard's geometric midpoints carry the row to convergence
+def test_newton_climbs_from_the_start_on_a_skewed_rhs():
+    # singular values 1 and 0.01 and a right-hand side mostly on the first: the
+    # start 1/hi lies right of the knot 1/s_1^2 and just left of the root in x,
+    # and the Newton steps climb from there to convergence
     data = RelativeData(np.diag([1.0, 0.01]).astype(complex), 1)
     phit = np.array([[1.0, 1e-3]], dtype=complex)
     for eps in (0.1, 0.3):

@@ -37,8 +37,8 @@ from .forward import (
     save_nd_map,
 )
 from .geometry import BoundaryField, DiskMesh, build_disk_mesh, check_mesh_settings, fourier_modes
-from .media import (AdmittanceField, Disk, check_absorption, json_number, json_object, load_scenario,
-                    parse_scenario, read_json)
+from .media import (AdmittanceField, Disk, json_number, json_object, load_scenario, parse_scenario,
+                    read_json)
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
     RelativeData,
@@ -158,10 +158,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
                         + _RECONSTRUCT_WRITES)
     measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
     mesh = build_disk_mesh(cfg.h_target)
-    absorption = check_absorption(cfg.scenario)
-    system = assemble_system(mesh, cfg.scenario)  # refuses if coercivity fails
+    system = assemble_system(mesh, cfg.scenario)
     os.makedirs(out_dir, exist_ok=True)  # after the refusals: a refused run leaves no directory
-    coercivity = system.coercivity
     measured = nd_map_from_system(system, cfg.N)
     if cfg.noise["level"] > 0.0:
         measured = add_noise(measured, **cfg.noise)
@@ -171,6 +169,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
     _remove(out_dir, _RECONSTRUCT_WRITES)
     save_nd_map(measured, measured_path)
     save_nd_map(background, background_path)
+    z = cfg.scenario.coercivity["z"]  # complex: [re, im] in JSON
     manifest_path = _write_manifest(out_dir, "simulate", cfg, {
         "mesh": {
             "h_target": cfg.h_target,
@@ -181,9 +180,8 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
         "N": cfg.N,
         "noise": cfg.noise,
         "assumptions": {
-            "coercivity": {"holds": coercivity["holds"], "alpha": coercivity["alpha"],
-                           "z": [coercivity["z"].real, coercivity["z"].imag]},
-            "absorption": absorption,
+            "coercivity": {**cfg.scenario.coercivity, "z": [z.real, z.imag]},
+            "absorption": cfg.scenario.absorption,
         },
         "diagnostics": {"symmetry_defect": {"measured": measured.symmetry_defect(),
                                             "background": background.symmetry_defect()},
@@ -214,13 +212,14 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
+def _check_simulated_with(cfg: RunConfig, out_dir: str) -> dict:
     """Refuse ND files whose ``simulate_manifest.json`` in ``out_dir`` records
     another mesh size or order, or other SHA-256 digests, and a manifest that
-    records no digests; ND files without a manifest are taken as is."""
+    records no digests; ND files without a manifest are taken as is. Returns the
+    digests it checked, by file name."""
     path = os.path.join(out_dir, "simulate_manifest.json")
     if not os.path.exists(path):
-        return
+        return {}
     manifest = read_json(path, "simulate manifest")
     try:
         simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
@@ -238,6 +237,7 @@ def _check_simulated_with(cfg: RunConfig, out_dir: str) -> None:
         if os.path.isfile(nd_path) and _sha256(nd_path) != digest:
             raise ConfigurationError(f"{nd_path}: its SHA-256 is not the one {path} records; "
                                      "refusing to mix runs")
+    return digests  # equal to the files' own, or load_nd_map refuses a missing file
 
 
 def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
@@ -245,9 +245,10 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
     # no mesh is built here, but the config is refused as simulate refuses it
     check_mesh_settings(cfg.h_target, cfg.N, where="config.")
     _refuse_directories(out_dir, "reconstruct", _RECONSTRUCT_WRITES)
-    _check_simulated_with(cfg, out_dir)
+    digests = _check_simulated_with(cfg, out_dir)  # with no simulate manifest, hashed below
     measured_path, background_path = (os.path.join(out_dir, name) for name in _ND_FILES)
     measured, background = load_nd_map(measured_path), load_nd_map(background_path)
+    digests = {n: digests.get(n) or _sha256(os.path.join(out_dir, n)) for n in _ND_FILES}
     for path, nd in ((measured_path, measured), (background_path, background)):
         if nd.N != cfg.N:
             raise ConfigurationError(f"{path}: ND map has N={nd.N} but config.N is {cfg.N}; "
@@ -283,6 +284,7 @@ def run_reconstruct(cfg: RunConfig, out_dir: str) -> dict:
                         "singular_values": data.singular_values.tolist(),
                         "reciprocity_defect": reciprocity_defect(data.matrix)},
         "files": list(_RECONSTRUCT_FILES),
+        "sha256": digests,  # of the ND files read
     })
     return {"indicator": indicator_path, "mask": mask_path, "image": image_path,
             "manifest": manifest_path}

@@ -12,7 +12,7 @@ class ConfigurationError(ToolkitError):
 
 
 class SolverError(ToolkitError):
-    """Linear-algebra failure: singular system, unavailable coercivity, etc."""
+    """Linear-algebra failure: a singular system or a non-finite solution."""
 
 
 class EstimationError(ToolkitError):

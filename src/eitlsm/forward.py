@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SolverError
 from .geometry import DiskMesh, check_order, fourier_modes, fourier_projector
-from .media import AdmittanceField, check_coercivity
+from .media import AdmittanceField
 
 __all__ = [
     "FemSystem",
@@ -91,7 +91,7 @@ class FemSystem:
     current ring, P <- P - Q R^-1 Q^H, Q <- -Q R^-1 L^H, R <- D - L R^-1 L^H,
     joined once in nodal values: S_M = R - Q^H (S_a + P)^-1 Q. S_M bordered by
     the mean constraint ell is the one matrix every boundary solve uses. The system is
-    immutable and safe to share read-only; ``assemble_system`` records ``coercivity``.
+    immutable and safe to share read-only.
     """
 
     def __init__(self, mesh: DiskMesh, kloc: np.ndarray, dense_rings: int):
@@ -176,20 +176,10 @@ def _circulant(blocks: np.ndarray) -> np.ndarray:
 def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     """Assemble the P1 stiffness matrix with gamma frozen at centroids.
 
-    Coercivity is checked on the admittance's values first, so an inclusion that no
-    centroid samples is judged too; assembly is refused when it fails, since the
-    constrained system is then not guaranteed solvable (no Lax-Milgram bound). The
-    bound on gamma keeps every element stiffness finite.
+    ``AdmittanceField`` has judged the scenario's assumptions on gamma's values, so the
+    Lax-Milgram bound holds; its bound on gamma keeps every element stiffness finite.
     """
     verts, tris = mesh.vertices, mesh.triangles
-    verdict = check_coercivity(admittance)
-    if not verdict["holds"]:
-        raise SolverError(
-            "admittance fails the coercivity assumption "
-            f"(best alpha={verdict['alpha']:.3g} at z={verdict['z']:.3g}); "
-            "the Lax-Milgram hypothesis is unavailable"
-        )
-
     p = verts[tris]
     x, y = p[..., 0], p[..., 1]
     det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0])
@@ -205,9 +195,7 @@ def assemble_system(mesh: DiskMesh, admittance: AdmittanceField) -> FemSystem:
     outermost = tris[(gam != np.eye(2)).any(axis=(1, 2))].max(initial=mesh.ring_starts[1])
     dense_rings = int(np.count_nonzero(mesh.ring_starts[1:] <= outermost))
     del p, x, y, det, area, gx, gy, gam, gax, gay  # the rings are eliminated from kloc alone
-    system = FemSystem(mesh, kloc, dense_rings)
-    system.coercivity = verdict
-    return system
+    return FemSystem(mesh, kloc, dense_rings)
 
 
 def compute_nd_map(mesh: DiskMesh, admittance: AdmittanceField, N: int,

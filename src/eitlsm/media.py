@@ -13,9 +13,9 @@ verified numerically:
   subset of the inclusion, checked through the largest eigenvalue of Im h_k
   over the components that make up that subset.
 
-``AdmittanceField`` holds every scenario rule. Scenario documents are JSON:
-``parse_scenario`` only converts their types and shapes, and every error,
-from either, names the offending field.
+``AdmittanceField`` holds every scenario rule, refuses a non-coercive gamma
+and keeps both verdicts. Scenario documents are JSON: ``parse_scenario`` only
+converts their types and shapes; every error, from either, names the field.
 """
 
 from __future__ import annotations
@@ -84,9 +84,10 @@ class AdmittanceField:
 
     The one validated value of a scenario and the only home of its rules,
     for library callers and scenario documents alike: a consumer may take
-    gamma as finite, with every value's largest singular value at most
-    ``GAMMA_MAX``. Errors name a field by its scenario path, such as
-    ``inclusions[k].radius``.
+    gamma as finite and coercive, with every value's largest singular value
+    at most ``GAMMA_MAX``; ``coercivity`` and ``absorption`` hold the verdicts.
+    Errors name a field by its scenario path, such as ``inclusions[k].radius``
+    (``inclusions[k].h`` for the component least coercive at the best z).
 
     Parameters
     ----------
@@ -151,6 +152,12 @@ class AdmittanceField:
             if not (index and 0 <= i < len(perturbations)):
                 raise ConfigurationError(f"scenario.absorption_region.components[{j}]: "
                                          f"no inclusion component {i}")
+        self.coercivity, self.absorption = check_coercivity(self), check_absorption(self)
+        if not self.coercivity["holds"]:  # I alone holds, so name the h_k least coercive at z
+            zg = self.coercivity["z"] * (_IDENTITY + np.array(self.perturbations))
+            k = int(_hermitian_eig(zg + np.conj(np.swapaxes(zg, 1, 2)), -1.0).argmin())
+            raise ConfigurationError(f"inclusions[{k}].h: gamma = I + h fails the coercivity "
+                                     f"assumption (best alpha {self.coercivity['alpha']:.3g})")
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """gamma at many points, shape (npts, 2, 2); no domain check."""

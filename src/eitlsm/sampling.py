@@ -61,6 +61,9 @@ DEFAULT_CUTOFF_MULTIPLIER = 70.0
 
 MOROZOV_RTOL = 1e-8
 
+# bounds the weighted difference's norm, so s_1: s_1^2 and Morozov's hi stay finite
+S_MAX = 1e150
+
 
 class RelativeData:
     """Difference map Lambda - Lambda0 with its Sobolev-weighted singular system.
@@ -81,9 +84,9 @@ class RelativeData:
         self.matrix = difference
         self.weights = np.abs(self.modes).astype(float) ** 0.5
         self.weighted = self.weights[:, None] * difference * self.weights[None, :]
-        if not np.isfinite(self.weighted).all():  # LAPACK's SVD may never return on them
-            raise ConfigurationError("the weighted difference of the ND maps is not finite; "
-                                     "their entries are too large")
+        if not np.linalg.norm(self.weighted) <= S_MAX:  # NaN too: LAPACK's SVD may hang on it
+            raise ConfigurationError("the weighted difference of the ND maps is not finite or "
+                                     f"its norm exceeds {S_MAX:g}; their entries are too large")
         u, s, vh = np.linalg.svd(self.weighted)
         self.U, self.singular_values, self.Vh = u, s, vh
 
@@ -189,7 +192,7 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
 
     def newton_terms(x: np.ndarray, b2: np.ndarray, u: np.ndarray, w: np.ndarray, t: np.ndarray):
         """r, ||psit|| and -(1/2) dr^2/dx at x, with u = s^2 x and w = 1 / (1 + u)."""
-        np.multiply(x[:, None], s2, out=u)
+        np.minimum(np.multiply(x[:, None], s2, out=u), np.finfo(float).max, out=u)  # no inf * 0
         np.reciprocal(np.add(u, 1.0, out=w), out=w)
         np.multiply(np.multiply(w, w, out=t), b2, out=t)
         r = np.sqrt(t.sum(axis=1))

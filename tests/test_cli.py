@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import eitlsm
-from eitlsm import (ConfigurationError, SolverError, assemble_system, build_disk_mesh, cli,
-                    dipole, forward, load_nd_map, media, parse_scenario)
+from eitlsm import (ConfigurationError, build_disk_mesh, cli, dipole, forward, load_nd_map, media,
+                    parse_scenario)
 from eitlsm.cli import load_run_config, main, parse_run_config
 from conftest import SWEEP_DOC
 
@@ -260,8 +260,11 @@ def test_simulate_refuses_non_coercive(tmp_path, capsys):
     bad = {"inclusions": [{"shape": "disk", "center": [0.0, 0.0], "radius": 0.2,
                            "h": [[-4.0, 0.0], [0.0, -4.0]]}]}
     cfg = write_config(tmp_path, {"scenario": bad, "h_target": 0.2, "N": 4})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
-    assert "coercivity" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "coercivity" in err
+    assert err.startswith("configuration error") and len(err.strip().splitlines()) == 1
+    assert "inclusions[0].h" in err
     assert not (tmp_path / "x").exists()  # refused before the output directory is made
 
 
@@ -279,17 +282,20 @@ def test_simulate_refuses_overflowing_stiffness(tmp_path, capsys):
     assert not list(out.glob("*.nd"))
 
 
-@pytest.mark.parametrize("contrast", [1e12, 1e20])
+@pytest.mark.parametrize("contrast", [1e12, 1e20, pytest.param(-3.0, id="non-coercive"),
+                                      pytest.param((2.0, -3.0), id="second-non-coercive")])
 @pytest.mark.parametrize("command", ["simulate", "reconstruct", "verify"])
 def test_contrast_above_bound_exits_2(tmp_path, capsys, command, contrast):
-    # off-centre, the ring elimination loses about contrast * 1e-16 of the map
-    disk = {"shape": "disk", "center": [0.5, 0.0], "radius": 0.3,
-            "h": [[contrast, 0.0], [0.0, contrast]]}
-    cfg = write_config(tmp_path, {"scenario": {"inclusions": [disk]}, "h_target": 0.1, "N": 8})
+    # off-centre, the ring elimination loses about contrast * 1e-16 of the map; at -3,
+    # gamma = -2 I is not coercive. The last disk holds the refused h
+    disks = [{"shape": "disk", "center": [0.5 - k, 0.0], "radius": 0.3, "h": [[c, 0.0], [0.0, c]]}
+             for k, c in enumerate(np.atleast_1d(contrast).tolist())]
+    cfg = write_config(tmp_path, {"scenario": {"inclusions": disks}, "h_target": 0.1, "N": 8})
     out = tmp_path / "x"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "inclusions[0].h" in err and len(err.strip().splitlines()) == 1
+    assert f"inclusions[{len(disks) - 1}].h" in err and len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error")
     assert not out.exists()
 
 
@@ -304,18 +310,20 @@ def test_simulate_nearly_insulating_inclusion(tmp_path):
 
 
 def test_simulate_refuses_inclusion_no_centroid_samples(tmp_path, capsys):
-    # gamma = -I on a disk that holds no triangle centroid of the mesh
+    # gamma = -I on a disk that holds no triangle centroid of the mesh: gamma is judged
+    # on its values, with no mesh, so the scenario itself is refused
     bad = {"inclusions": [{"shape": "disk", "center": [0.5, 0.0], "radius": 0.01,
                            "h": [[-2.0, 0.0], [0.0, -2.0]]}]}
     mesh = build_disk_mesh(0.2)
-    field = parse_scenario(bad)
-    assert not field.components[0].contains(mesh.vertices[mesh.triangles].mean(axis=1)).any()
-    with pytest.raises(SolverError, match="coercivity"):
-        assemble_system(mesh, field)
+    disk = media.Disk(center=(0.5, 0.0), radius=0.01)
+    assert not disk.contains(mesh.vertices[mesh.triangles].mean(axis=1)).any()
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\]\.h: .*coercivity"):
+        parse_scenario(bad)
     cfg = write_config(tmp_path, {"scenario": bad, "h_target": 0.2, "N": 4})
     out = tmp_path / "x"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-    assert "coercivity" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "coercivity" in err and "inclusions[0].h" in err
     assert not list(out.glob("*.nd"))
 
 
@@ -385,6 +393,34 @@ def test_reconstruct_outputs(small_run):
     spectrum = diagnostics["singular_values"]  # weighted, of the measured - background difference
     assert len(spectrum) == 2 * manifest["N"] and (np.diff(spectrum) <= 0).all()
     assert diagnostics["reciprocity_defect"] < 1e-10
+
+
+@pytest.mark.parametrize("with_manifest", [True, False])
+def test_reconstruct_manifest_records_nd_digests(small_run, tmp_path, monkeypatch, with_manifest):
+    # the digests of the ND files read, each file hashed once: before parsing, where the
+    # simulate manifest's digests are checked, and after it otherwise
+    _, cfg, out = small_run
+    run = tmp_path / "run"
+    copy_nd_files(out, run)
+    if with_manifest:
+        (run / "simulate_manifest.json").write_bytes((out / "simulate_manifest.json").read_bytes())
+    hashed, sha256 = [], cli._sha256
+
+    def counted(path):
+        hashed.append(path)
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counted)
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+    names = ("measured.nd", "background.nd")
+    assert sorted(hashed) == sorted(os.path.join(run, name) for name in names)
+    manifest = json.loads((run / "reconstruct_manifest.json").read_text())
+    assert manifest["sha256"] == {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+                                  for name in names}
+    assert set(manifest) == {"tool", "version", "mode", "config", "format_versions", "N", "grid",
+                             "delta_rule", "cutoff", "feasible_points", "total_points",
+                             "diagnostics", "files", "sha256"}
+    assert (run / "mask.csv").read_bytes() == (out / "mask.csv").read_bytes()
 
 
 def test_quick_start_newton_steps(tmp_path):
@@ -520,19 +556,21 @@ def test_reconstruct_needs_no_mesh(small_run, tmp_path, monkeypatch):
 
 
 def test_reconstruct_refuses_overflowing_nd_entry(small_run, tmp_path, capsys):
-    # finite in the file, but the |n|^(1/2) weighting overflows it; LAPACK's
-    # SVD used to spin forever on the result
+    # 1e308 is finite in the file, but the |n|^(1/2) weighting overflows it; LAPACK's
+    # SVD used to spin forever on the result. At 1e200 the weighted difference is finite,
+    # but s_1^2 overflows, and the sweep wrote NaN to indicator_infeasible.csv
     _, cfg, out = small_run
     run = tmp_path / "huge"
     copy_nd_files(out, run)
     lines = (run / "measured.nd").read_text().splitlines()
-    lines[1] = " ".join(["1e308"] + lines[1].split()[1:])
-    (run / "measured.nd").write_text("\n".join(lines) + "\n")
-    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error")
-    assert str(run / "measured.nd") in err and str(run / "background.nd") in err
-    assert not list(run.glob("indicator*.csv"))
+    for entry in ("1e308", "1e200"):
+        lines[1] = " ".join([entry] + lines[1].split()[1:])
+        (run / "measured.nd").write_text("\n".join(lines) + "\n")
+        assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert str(run / "measured.nd") in err and str(run / "background.nd") in err
+        assert not list(run.glob("indicator*.csv"))
 
 
 def test_console_entry_freezes_and_main_does_not(tmp_path, monkeypatch):
@@ -589,7 +627,7 @@ def test_reconstruct_all_infeasible_exits_nonzero(small_run, tmp_path, capsys):
     assert (out2 / "mask.csv").exists()
 
 
-def test_simulate_removes_an_earlier_reconstruction(tmp_path, capsys):
+def test_simulate_removes_an_earlier_reconstruction(tmp_path, capsys, monkeypatch):
     outputs = ("indicator.csv", "mask.csv", "indicator.pgm", "reconstruct_manifest.json",
                "indicator_infeasible.csv")
     out = tmp_path / "run"
@@ -614,11 +652,15 @@ def test_simulate_removes_an_earlier_reconstruction(tmp_path, capsys):
     non_coercive = {"shape": "disk", "center": [0.0, 0.0], "radius": 0.3,
                     "h": [[-3.0, 0.0], [0.0, -3.0]]}
     bad_radius = {**SWEEP_DOC["inclusions"][0], "radius": -0.25}
-    for code, disk in ((1, non_coercive), (2, bad_radius)):
+    for code, disk in ((2, non_coercive), (2, bad_radius), (1, SWEEP_DOC["inclusions"][0])):
         cfg = write_config(tmp_path, dict(SMALL_RUN, h_target=0.1, N=8,
                                           scenario={"inclusions": [disk]}), "bad.json")
         capsys.readouterr()
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
+        with monkeypatch.context() as patch:
+            if code == 1:  # the singular system of test_simulate_singular_system_exits_1
+                patch.setattr(media.AdmittanceField, "evaluate_batch",
+                              lambda self, points: np.zeros((len(points), 2, 2), dtype=complex))
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == code
         assert capsys.readouterr().err.startswith("error" if code == 1 else "configuration error")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 

@@ -155,6 +155,8 @@ def test_aux_circle_validation():
     for radius in (0.9, float("nan")):
         with pytest.raises(ConfigurationError, match="auxiliary radius must exceed 1"):
             AuxCircle(radius=radius)
+    with pytest.raises(ConfigurationError, match="need at least 4 quadrature nodes, got 3"):
+        AuxCircle(count=3)
     aux = AuxCircle(radius=2.0, count=32)
     with pytest.raises(ConfigurationError):
         aux.require_order(8)  # needs >= 36 nodes

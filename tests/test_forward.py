@@ -15,6 +15,7 @@ from eitlsm import (
     build_disk_mesh,
     compute_background_nd_map,
     compute_nd_map,
+    forward,
     fourier_modes,
     fourier_projector,
     load_nd_map,
@@ -211,11 +212,20 @@ def test_assembly_peak_memory_on_a_fine_mesh():
 
 
 def test_assembly_refuses_non_coercive_field():
-    # gamma = -3 I inside
-    hopeless = AdmittanceField([Disk(center=(0.0, 0.0), radius=0.3)], [np.diag([-4.0, -4.0])])
-    mesh = build_disk_mesh(0.2)
-    with pytest.raises(SolverError, match="coercivity"):
-        assemble_system(mesh, hopeless)
+    # gamma = -3 I inside: the field itself is refused, so no assembly can meet it
+    with pytest.raises(ConfigurationError, match=r"inclusions\[0\]\.h: .*coercivity"):
+        AdmittanceField([Disk(center=(0.0, 0.0), radius=0.3)], [np.diag([-4.0, -4.0])])
+
+
+@pytest.mark.parametrize("call,pattern", [
+    # the element stiffness reads gamma as 2x2: the field refuses any other h
+    (lambda: AdmittanceField([Disk(center=(0.0, 0.0), radius=0.3)], [np.eye(3)]),
+     r"inclusions\[0\]\.h: must be a 2x2 matrix, got shape \(3, 3\)"),
+    (lambda: forward.NdMap(np.eye(3), 1, "fem"), r"ND matrix shape \(3, 3\) does not match N=1"),
+], ids=["admittance-h", "nd-map"])
+def test_fem_inputs_refuse_a_wrong_shape(call, pattern):
+    with pytest.raises(ConfigurationError, match=pattern):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +272,7 @@ def test_sup_error_quadratic_in_h():
     assert errs[1] <= 0.35 * errs[0]  # ~ 4x drop for O(h^2)
 
 
-def test_boundary_solve_columns_are_independent():
+def test_boundary_solve_columns_are_independent(monkeypatch):
     # one multi-column solve equals the column-by-column solves
     mesh = build_disk_mesh(0.1)
     system = assemble_system(mesh, background_field())
@@ -271,10 +281,20 @@ def test_boundary_solve_columns_are_independent():
     for k in range(2):
         alone = system.boundary_solve(currents[:, k:k + 1])[:, 0]
         assert np.abs(both[:, k] - alone).max() <= 1e-14
-    # refused before the assembly, which would refuse this field for coercivity
-    hopeless = AdmittanceField([Disk(center=(0.0, 0.0), radius=0.3)], [np.diag([-4.0, -4.0])])
+    # refused before the assembly
+    def reached(*args):
+        raise AssertionError("compute_nd_map assembled before refusing its load rule")
+
+    monkeypatch.setattr(forward, "assemble_system", reached)
     with pytest.raises(ConfigurationError, match="load rule"):
-        compute_nd_map(mesh, hopeless, 4, load_rule="midpoint")
+        compute_nd_map(mesh, background_field(), 4, load_rule="midpoint")
+
+
+def test_boundary_solve_refuses_a_non_finite_solution(monkeypatch):
+    system = assemble_system(build_disk_mesh(0.2), background_field())
+    monkeypatch.setattr(forward, "_solve", lambda matrix, rhs, what: np.full(rhs.shape, np.nan))
+    with pytest.raises(SolverError, match="Neumann solve produced non-finite values"):
+        system.boundary_solve(cos_current(system.mesh, 1))
 
 
 # ---------------------------------------------------------------------------

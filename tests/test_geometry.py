@@ -204,6 +204,18 @@ def test_trace_to_fourier_aliasing_rejected():
         trace_to_fourier(mesh, np.zeros(mesh.n_boundary), N=6, smoothness=-0.5)
 
 
+@pytest.mark.parametrize("call,pattern", [
+    (lambda mesh: BoundaryField(np.zeros(0), 0, 0.5), "truncation order must be >= 1, got 0"),
+    (lambda mesh: BoundaryField(np.zeros(3), 2, 0.5), r"shape \(3,\), expected \(4,\)"),
+    (lambda mesh: trace_to_fourier(mesh, np.zeros((mesh.n_boundary, 1)), 4, 0.5),
+     r"nodal data has shape \(30, 1\), expected \(30,\)"),
+], ids=["field-order-0", "field-shape", "nodal-shape"])
+def test_boundary_data_refuses_a_wrong_order_or_shape(call, pattern):
+    mesh = build_disk_mesh(0.2)  # 30 boundary vertices
+    with pytest.raises(ConfigurationError, match=pattern):
+        call(mesh)
+
+
 def test_round_trip_band_limited():
     mesh = build_disk_mesh(0.1)
     rng = np.random.default_rng(42)

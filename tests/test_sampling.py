@@ -70,6 +70,20 @@ def test_relative_data_dimension_mismatch(background_nd05):
         make_relative_data(background_nd05, other)
 
 
+@pytest.mark.parametrize("call,pattern", [
+    (lambda data: RelativeData(np.eye(3), 1), r"difference matrix shape \(3, 3\) does not match N=1"),
+    (lambda data: data.weighted_rhs(BoundaryField(np.ones(4), 2, 0.5)),
+     "rhs order 2 does not match data order 1"),
+    (lambda data: indicator_map(data, None, {"r_max": 0.5}, {"epsilon": 0.01}),
+     "grid_spec is missing key 'spacing'"),
+    (lambda data: indicator_map(data, None, {"spacing": 0.1, "r_max": 0.5}, {}),
+     "delta_rule is missing key 'epsilon'"),
+], ids=["difference-shape", "rhs-order", "grid-spacing", "delta-rule-epsilon"])
+def test_sampling_refuses_a_wrong_shape_order_or_section(call, pattern):
+    with pytest.raises(ConfigurationError, match=pattern):
+        call(scalar_surrogate(0.5))
+
+
 def test_relative_data_weighted_consistency(concentric_nd05, background_nd05):
     data = make_relative_data(concentric_nd05, background_nd05)
     w = np.abs(data.modes).astype(float) ** 0.5
@@ -377,6 +391,26 @@ def test_morozov_batch_rows_are_independent():
     assert (batch.alpha[low] == 0.0).all()
     min_norm = np.linalg.norm(phit[low] @ np.linalg.pinv(data.weighted).T, axis=1)
     np.testing.assert_allclose(batch.indicator[low], min_norm, rtol=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.floats(-300.0, 150.0), min_size=2 * n,
+                                                    max_size=2 * n)),
+       st.lists(st.floats(-12.0, np.log10(0.9)), min_size=1, max_size=8), st.integers(0, 2**32))
+def test_morozov_rows_are_finite_on_every_accepted_spectrum(exponents, ratios, seed):
+    # weighted singular values from 1e-300 up to S_MAX (just below it, so the weighting's
+    # roundoff cannot cross it) and delta / ||phit|| from 1e-12 to 0.9: no field is NaN,
+    # and alpha is infinite only on infeasible-high rows
+    N = len(exponents) // 2
+    s = np.minimum(10.0 ** np.array(exponents), (1 - 1e-14) * sampling.S_MAX)
+    data = RelativeData(np.diag(s / np.abs(fourier_modes(N))), N)
+    rng = np.random.default_rng(seed)
+    phit = rng.standard_normal((len(ratios), 2 * N)) + 1j * rng.standard_normal((len(ratios), 2 * N))
+    rows = _morozov_rows(data, phit, 10.0 ** np.array(ratios) * np.linalg.norm(phit, axis=1))
+    for name in ("residual", "indicator", "floor", "ceiling", "steps"):
+        assert np.isfinite(getattr(rows, name)).all(), name
+    assert np.isfinite(rows.alpha[rows.flag != "infeasible-high"]).all()
+    assert not np.isnan(rows.alpha).any()
 
 
 # ---------------------------------------------------------------------------

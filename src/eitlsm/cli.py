@@ -18,7 +18,7 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .forward import (
 )
 from .geometry import BoundaryField, DiskMesh, build_disk_mesh, check_mesh_settings, fourier_modes
 from .media import (AdmittanceField, Disk, json_number, json_object, load_scenario, parse_scenario,
-                    read_json)
+                    read_json, scenario_document)
 from .sampling import (
     DEFAULT_CUTOFF_MULTIPLIER,
     RelativeData,
@@ -74,18 +74,11 @@ _RECONSTRUCT_FILES = ("indicator.csv", "mask.csv", "indicator.pgm")
 _RECONSTRUCT_WRITES = _RECONSTRUCT_FILES + ("reconstruct_manifest.json", "indicator_infeasible.csv")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated run: ``noise``, ``grid``, ``delta_rule`` and ``cutoff`` are the sections
-    with their defaults filled, ``raw`` the document as given."""
-    scenario: object
-    h_target: float
-    N: int
-    noise: dict
-    grid: dict
-    delta_rule: dict
-    cutoff: dict
-    raw: dict
+class RunConfig(namedtuple("RunConfig", "scenario h_target N noise grid delta_rule cutoff raw")):
+    """A validated run: ``scenario`` an AdmittanceField, ``noise``, ``grid``, ``delta_rule``
+    and ``cutoff`` the sections with their defaults filled, ``raw`` the document as given."""
+
+    __slots__ = ()
 
 
 def parse_run_config(doc: dict, base_dir: str = ".") -> RunConfig:
@@ -179,6 +172,7 @@ def run_simulate(cfg: RunConfig, out_dir: str) -> dict:
         },
         "N": cfg.N,
         "noise": cfg.noise,
+        "scenario": scenario_document(cfg.scenario),  # config.scenario may be a path
         "assumptions": {
             "coercivity": {**cfg.scenario.coercivity, "z": [z.real, z.imag]},
             "absorption": cfg.scenario.absorption,
@@ -214,19 +208,22 @@ def _sha256(path: str) -> str:
 
 def _check_simulated_with(cfg: RunConfig, out_dir: str) -> dict:
     """Refuse ND files whose ``simulate_manifest.json`` in ``out_dir`` records
-    another mesh size or order, or other SHA-256 digests, and a manifest that
-    records no digests; ND files without a manifest are taken as is. Returns the
-    digests it checked, by file name."""
+    another mesh size, order, scenario or noise, or other SHA-256 digests, and a
+    manifest that lacks any of these; ND files without a manifest are taken as is.
+    Returns the digests it checked, by file name."""
     path = os.path.join(out_dir, "simulate_manifest.json")
     if not os.path.exists(path):
         return {}
     manifest = read_json(path, "simulate manifest")
     try:
-        simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"]}
+        simulated = {"mesh.h_target": manifest["mesh"]["h_target"], "N": manifest["N"],
+                     "config.scenario": manifest["scenario"], "config.noise": manifest["noise"]}
         digests = {name: manifest["sha256"][name] for name in _ND_FILES}
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"{path}: unreadable simulate manifest ({exc!r})") from None
-    for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N)):
+    for name, value in (("mesh.h_target", cfg.h_target), ("N", cfg.N),
+                        ("config.scenario", scenario_document(cfg.scenario)),
+                        ("config.noise", cfg.noise)):
         if simulated[name] != value:
             raise ConfigurationError(
                 f"{path}: {name} is {simulated[name]} in the simulate run but {value} "

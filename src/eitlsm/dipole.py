@@ -23,8 +23,6 @@ multiplier (1/2) R^(1-|k|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -57,19 +55,14 @@ def _unit_dipoles(ys, dirs, inside=lambda r: r < 1.0, region="strictly inside th
     return ys, dirs / norm[:, None]
 
 
-@dataclass
 class DipoleSpec:
     """Dipole source location y (strictly interior) and unit direction."""
 
-    y: tuple[float, float]
-    direction: tuple[float, float]
-
-    def __post_init__(self):
-        (y,), (d,) = _unit_dipoles(self.y, self.direction)  # one dipole, each a pair
+    def __init__(self, y, direction):
+        (y,), (d,) = _unit_dipoles(y, direction)  # one dipole, each a pair
         self.y, self.direction = tuple(y.tolist()), tuple(d.tolist())
 
 
-@dataclass
 class AuxCircle:
     """Quadrature circle of radius > 1 enclosing the body.
 
@@ -77,14 +70,12 @@ class AuxCircle:
     truncation N requires count >= 4N + 4.
     """
 
-    radius: float = 2.0
-    count: int = 128
-
-    def __post_init__(self):
-        if not self.radius > 1.0:
-            raise ConfigurationError(f"auxiliary radius must exceed 1, got {self.radius}")
-        if self.count < 4:
-            raise ConfigurationError(f"need at least 4 quadrature nodes, got {self.count}")
+    def __init__(self, radius: float = 2.0, count: int = 128):
+        if not radius > 1.0:
+            raise ConfigurationError(f"auxiliary radius must exceed 1, got {radius}")
+        if count < 4:
+            raise ConfigurationError(f"need at least 4 quadrature nodes, got {count}")
+        self.radius, self.count = radius, count
 
     @property
     def angles(self) -> np.ndarray:

@@ -20,8 +20,6 @@ the uniform ring, so ``compute_nd_map`` applies it as its symbol on the columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
@@ -42,7 +40,6 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class NdMap:
     """Neumann-to-Dirichlet map on zero-mean Fourier coefficients.
 
@@ -52,16 +49,10 @@ class NdMap:
     ``load_nd_map`` reads any tag.
     """
 
-    matrix: np.ndarray
-    N: int
-    provenance: str
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (2 * self.N, 2 * self.N):
-            raise ConfigurationError(
-                f"ND matrix shape {self.matrix.shape} does not match N={self.N}"
-            )
+    def __init__(self, matrix, N: int, provenance: str):
+        self.matrix, self.N, self.provenance = np.asarray(matrix, dtype=complex), N, provenance
+        if self.matrix.shape != (2 * N, 2 * N):
+            raise ConfigurationError(f"ND matrix shape {self.matrix.shape} does not match N={N}")
 
     @property
     def modes(self) -> np.ndarray:

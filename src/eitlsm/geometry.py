@@ -17,7 +17,6 @@ space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ def fourier_modes(N: int) -> np.ndarray:
     return np.concatenate([np.arange(-N, 0), np.arange(1, N + 1)])
 
 
-@dataclass(eq=False)
 class BoundaryField:
     """Zero-mean function on the unit circle, stored as Fourier coefficients.
 
@@ -54,17 +52,13 @@ class BoundaryField:
         currents, +1/2 for traces).
     """
 
-    coeffs: np.ndarray
-    N: int
-    smoothness: float
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.N < 1:
-            raise ConfigurationError(f"truncation order must be >= 1, got {self.N}")
-        if self.coeffs.shape != (2 * self.N,):
+    def __init__(self, coeffs, N: int, smoothness: float):
+        if N < 1:
+            raise ConfigurationError(f"truncation order must be >= 1, got {N}")
+        self.coeffs, self.N, self.smoothness = np.asarray(coeffs, dtype=complex), N, smoothness
+        if self.coeffs.shape != (2 * N,):
             raise ConfigurationError(
-                f"coefficient vector has shape {self.coeffs.shape}, expected ({2 * self.N},)"
+                f"coefficient vector has shape {self.coeffs.shape}, expected ({2 * N},)"
             )
 
     @property
@@ -79,7 +73,6 @@ class BoundaryField:
         return float(np.linalg.norm(w * self.coeffs))
 
 
-@dataclass(eq=False)
 class DiskMesh:
     """Ring triangulation of the unit disk, a function of ``h_target`` alone.
 
@@ -90,7 +83,7 @@ class DiskMesh:
     Fields
     ------
     h_target : float in (0, 0.5] with M <= 576 (at most 10^6 vertices), the only
-        init field; construction sets the five below from it
+        parameter; construction sets the five below from it
     vertices : float array (nv, 2)
     triangles : int array (nt, 3)
     ring_starts : int array (M + 2,), the first vertex of each ring, then nv
@@ -98,11 +91,10 @@ class DiskMesh:
     boundary_angles : float array (nb,), polar angle 2 pi k / nb of boundary vertex k
     """
 
-    h_target: float
-
-    def __post_init__(self):
-        check_mesh_settings(self.h_target)
-        M = math.ceil(1.0 / self.h_target)
+    def __init__(self, h_target: float):
+        check_mesh_settings(h_target)
+        self.h_target = h_target
+        M = math.ceil(1.0 / h_target)
         i = np.arange(M + 1)
         self.ring_starts = np.append(0, 1 + 3 * i * (i + 1))
         size = np.diff(self.ring_starts)  # 1, then 6i on ring i

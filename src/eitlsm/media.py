@@ -21,7 +21,7 @@ converts their types and shapes; every error, from either, names the field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,11 +45,10 @@ _IDENTITY = np.eye(2, dtype=complex)
 GAMMA_MAX = 1e10
 
 
-@dataclass(frozen=True)
-class Disk:
-    center: tuple[float, float]
-    radius: float
+class Disk(namedtuple("Disk", "center radius")):
+    """Disk of ``radius`` about ``center``; immutable, since AdmittanceField checks it once."""
 
+    __slots__ = ()
     size_field = "radius"  # the positive size AdmittanceField checks
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -57,12 +56,10 @@ class Disk:
         return np.einsum("...i,...i->...", d, d) < self.radius**2
 
 
-@dataclass(frozen=True)
-class Ellipse:
-    center: tuple[float, float]
-    semi_axes: tuple[float, float]
-    tilt: float = 0.0
+class Ellipse(namedtuple("Ellipse", "center semi_axes tilt", defaults=(0.0,))):
+    """Ellipse about ``center``, its first semi-axis ``tilt`` radians from the x axis."""
 
+    __slots__ = ()
     size_field = "semi_axes"
 
     def _local(self, points: np.ndarray) -> np.ndarray:
@@ -327,6 +324,18 @@ def parse_scenario(doc: dict) -> AdmittanceField:
         region = [json_number(item, f"scenario.absorption_region.components[{j}]", integer=True)
                   for j, item in enumerate(spec["components"])]
     return AdmittanceField(shapes, perts, absorption_region=region)
+
+
+def scenario_document(field: AdmittanceField) -> dict:
+    """The scenario document of ``field`` in JSON values, as a file reads back: what
+    ``parse_scenario`` takes, every h entry a [re, im] pair, so documents that parse
+    alike give the same one."""
+    doc = {"inclusions": [{"shape": type(shape).__name__.lower(), **shape._asdict(),
+                           "h": np.stack([h.real, h.imag], axis=-1).tolist()}
+                          for shape, h in zip(field.components, field.perturbations)]}
+    if field.absorption_region is not None:
+        doc["absorption_region"] = {"components": field.absorption_region}
+    return json.loads(json.dumps(doc))
 
 
 def load_scenario(path) -> AdmittanceField:

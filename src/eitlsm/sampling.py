@@ -24,7 +24,7 @@ is genuinely open which makes the better cut-off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -61,8 +61,10 @@ DEFAULT_CUTOFF_MULTIPLIER = 70.0
 
 MOROZOV_RTOL = 1e-8
 
-# bounds the weighted difference's norm, so s_1: s_1^2 and Morozov's hi stay finite
-S_MAX = 1e150
+# bounds the weighted difference's norm, so s_1: Morozov's hi = s_1^2 delta / (||phit|| - delta)
+# stays finite (below 1e296), since delta = epsilon ||phit|| with epsilon < 1 rounds to at most
+# (1 - 2^-53) ||phit||
+S_MAX = 1e140
 
 
 class RelativeData:
@@ -133,32 +135,25 @@ FLAGS = ("ok", "infeasible-low", "infeasible-high", "not-converged")
 MOROZOV_MAX_STEPS = 300
 
 
-@dataclass
-class MorozovResult:
-    alpha: float
-    psi: BoundaryField
-    residual: float
-    delta: float
-    flag: str  # one of FLAGS
-    residual_floor: float
-    residual_ceiling: float
+class MorozovResult(namedtuple("MorozovResult",
+                               "alpha psi residual delta flag residual_floor residual_ceiling")):
+    """``morozov_alpha``'s choice: ``psi`` a BoundaryField and ``flag`` one of FLAGS."""
+
+    __slots__ = ()
 
     @property
     def feasible(self) -> bool:
         return self.flag == "ok"
 
 
-@dataclass(eq=False)
-class _MorozovRows:
-    """Discrepancy-principle results for a batch of weighted right-hand sides."""
+class _MorozovRows(namedtuple("_MorozovRows", "alpha residual indicator floor ceiling flag steps")):
+    """Discrepancy-principle results for R weighted right-hand sides, each an (R,) array:
+    ``alpha`` (inf when infeasible-high, 0 when infeasible-low), ``residual``, ``indicator``
+    ||psit|| = ||s/(s^2+alpha) U^H phit||, the alpha -> 0 and alpha -> inf limits of the
+    residual (``floor``, and ``ceiling`` = ||phit||), ``flag`` (one of FLAGS) and ``steps``,
+    the residual evaluations of the Newton search."""
 
-    alpha: np.ndarray  # (R,) inf when infeasible-high, 0 when infeasible-low
-    residual: np.ndarray  # (R,)
-    indicator: np.ndarray  # (R,) ||psit|| = ||s/(s^2+alpha) U^H phit||
-    floor: np.ndarray  # (R,) alpha -> 0 limit of the residual
-    ceiling: np.ndarray  # (R,) ||phit||, the alpha -> inf limit
-    flag: np.ndarray  # (R,) one of FLAGS
-    steps: np.ndarray  # (R,) residual evaluations of the Newton search
+    __slots__ = ()
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -173,6 +168,13 @@ def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, each row alone: numpy hands a one-row product to gemv, which sums in
     another order than gemm, so a lone row is doubled to match it in a batch."""
     return ((a if len(a) > 1 else np.repeat(a, 2, axis=0)) @ b)[: len(a)]
+
+
+def _row_norms(phit: np.ndarray) -> np.ndarray:
+    """||phit|| of each row, which bounds the residual (U being unitary): the sweep's delta
+    is epsilon times it, summed alike, so that delta is below it for every epsilon < 1."""
+    flat = phit.view(float)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 # a failed row may overflow or divide 0 by 0; it is flagged, not warned about
@@ -201,7 +203,7 @@ def _morozov_rows(data: RelativeData, phit: np.ndarray, delta: np.ndarray) -> _M
         t *= w
         return r, psi, t.sum(axis=1) / x
 
-    ceiling = np.sqrt(beta2.sum(axis=1))  # ||phit||, U being unitary
+    ceiling = _row_norms(phit)
     floor = np.sqrt(beta2[:, s <= 0.0].sum(axis=1))
     flag = np.full(len(phit), "ok", dtype=f"<U{max(map(len, FLAGS))}")
     high = delta >= ceiling
@@ -324,19 +326,19 @@ def check_cutoff(rule: str, c: float, q: float, where: str = "") -> None:
         raise ConfigurationError(f"{where}cutoff.q: quantile must lie in (0, 1), got {q}")
 
 
-@dataclass(eq=False)
 class IndicatorMap:
-    """Per-point sweep results on a square grid clipped to |y| <= r_max."""
+    """Per-point sweep results on a square grid of pitch ``spacing`` clipped to |y| <= r_max.
 
-    points: np.ndarray  # (P, 2)
-    indicator: np.ndarray  # (P,)  the larger ||psi||_{-1/2} of the x and y dipoles
-    alpha: np.ndarray  # (P,)  selected regularization parameter
-    residual: np.ndarray  # (P,) achieved residual
-    delta: np.ndarray  # (P,) per-point discrepancy level
-    spacing: float
-    r_max: float
-    flag: np.ndarray  # (P,) Morozov flag (one of FLAGS) of the maximizing direction
-    steps: np.ndarray  # (P,) its Newton residual evaluations
+    ``points`` is (P, 2); each other array is (P,): ``indicator``, the larger
+    ||psi||_{-1/2} of the x and y dipoles; the selected regularization ``alpha``,
+    achieved ``residual`` and discrepancy level ``delta``; and the Morozov ``flag``
+    (one of FLAGS) and Newton residual evaluations (``steps``) of the maximizing direction.
+    """
+
+    def __init__(self, points, indicator, alpha, residual, delta, spacing, r_max, flag, steps):
+        self.points, self.indicator, self.alpha, self.residual, self.delta = (
+            points, indicator, alpha, residual, delta)
+        self.spacing, self.r_max, self.flag, self.steps = spacing, r_max, flag, steps
 
     def __len__(self) -> int:
         return len(self.points)
@@ -400,7 +402,7 @@ def indicator_map(data: RelativeData, mesh: DiskMesh | None, grid_spec: dict, de
         traces = (disk_dipole_traces(ys, ds, data.N) if trace_computer is None
                   else trace_computer.trace_batch(ys, ds))
         phit = np.multiply(traces, data.weights, out=traces)  # (2 * points, 2N)
-        delta = epsilon * np.sqrt(np.einsum("ij,ij->i", phit.view(float), phit.view(float)))
+        delta = epsilon * _row_norms(phit)
         rows = _morozov_rows(data, phit, delta)
         best = np.arange(0, len(ys), 2) + rows.indicator.reshape(-1, 2).argmax(axis=1)
         imap.indicator[block], imap.alpha[block], imap.residual[block], imap.delta[block] = (

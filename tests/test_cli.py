@@ -462,12 +462,33 @@ def test_reconstruct_refuses_mixed_runs(small_run, tmp_path, capsys):
     run.mkdir()
     for n in ("measured.nd", "background.nd", "simulate_manifest.json"):
         (run / n).write_bytes((out / n).read_bytes())
-    for change, field in (({"h_target": 0.1}, "mesh.h_target"), ({"N": 6}, "N")):
+    moved = {"inclusions": [dict(SWEEP_DOC["inclusions"][0], center=[-0.4, 0.2])]}
+    noise = {"level": 0.5, "seed": 9}
+    for change, field in (({"h_target": 0.1}, "mesh.h_target"), ({"N": 6}, "N"),
+                          ({"scenario": moved, "noise": noise}, "config.scenario"),
+                          ({"noise": noise}, "config.noise")):
         cfg = write_config(tmp_path, dict(SMALL_RUN, **change))
         assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and f"{field} is" in err
     assert not (run / "indicator.csv").exists()
+
+
+def test_reconstruct_takes_the_simulated_scenario_in_any_form(small_run, tmp_path):
+    # the simulate manifest records the scenario as parsed: a file holding SMALL_RUN's
+    # inline disk with its h entries as [re, im] pairs and its noise spelled out is that run
+    _, _, out = small_run
+    run = tmp_path / "run"
+    copy_nd_files(out, run)
+    (run / "simulate_manifest.json").write_bytes((out / "simulate_manifest.json").read_bytes())
+    manifest = json.loads((run / "simulate_manifest.json").read_text())
+    assert parse_scenario(manifest["scenario"]).components == [media.Disk((0.3, 0.0), 0.25)]
+    disk = dict(SWEEP_DOC["inclusions"][0], h=[[[2, 0], [0, 0]], [[0, 0], [2, 0]]])
+    write_config(tmp_path, {"inclusions": [disk]}, "scenario.json")
+    cfg = write_config(tmp_path, dict(SMALL_RUN, scenario="scenario.json",
+                                      noise={"level": 0, "seed": 0}))
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+    assert (run / "mask.csv").read_bytes() == (out / "mask.csv").read_bytes()
 
 
 def test_reconstruct_refuses_nd_file_of_another_run(tmp_path, capsys):
@@ -705,6 +726,22 @@ def test_epsilon_at_least_one_exits_2(tmp_path, capsys, epsilon):
     assert main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     assert "config.delta_rule.epsilon" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.999999999, 0.9999999999999999])
+def test_epsilon_just_below_one_writes_finite_cells(small_run, tmp_path, epsilon):
+    # delta = epsilon ||phi_y|| stays below the norm it is compared with, even at 1 - 2^-53:
+    # no point is "infeasible-high", and no cell holds alpha inf
+    _, _, out = small_run
+    run = tmp_path / "run"
+    copy_nd_files(out, run)
+    cfg = write_config(tmp_path, dict(SMALL_RUN, delta_rule={"epsilon": epsilon}))
+    assert main(["reconstruct", "--config", cfg, "--out", str(run)]) == 0
+    flags = json.loads((run / "reconstruct_manifest.json").read_text())["diagnostics"]["flags"]
+    assert flags["ok"] == sum(flags.values())
+    for name, skip in (("indicator.csv", 1), ("mask.csv", 1), ("indicator.pgm", 3)):
+        cells = np.loadtxt(run / name, delimiter="," if skip == 1 else None, skiprows=skip)
+        assert np.isfinite(cells).all(), name
 
 
 def test_default_run_refuses_identical_maps(tmp_path, capsys, monkeypatch):

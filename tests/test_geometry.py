@@ -1,5 +1,5 @@
 import collections
-import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -131,7 +131,7 @@ def test_mesh_matches_the_ring_merge(h):
 
 def test_mesh_holds_its_boundary_angles():
     # a mesh is a value of h_target: nothing else can be handed to the constructor
-    assert [f.name for f in dataclasses.fields(DiskMesh) if f.init] == ["h_target"]
+    assert list(inspect.signature(DiskMesh).parameters) == ["h_target"]
     for h in (0.2, 0.03):  # at 0.03, arctan2 of the vertex coordinates misses 23 of 204 by an ulp
         mesh = DiskMesh(h)
         nb = mesh.n_boundary

@@ -1,9 +1,12 @@
 """Every imported name is used: a small stand-in for a linter's unused-import rule.
-The package exports exactly the names its modules declare in ``__all__``."""
+The package exports exactly the names its modules declare in ``__all__``, and
+importing it generates no dataclass methods."""
 
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import eitlsm
 
@@ -57,3 +60,12 @@ def test_package_exports_every_module_all():
             declared += getattr(module, "__all__", ())
     # no submodule object rides along, and no declared name is lost
     assert sorted(eitlsm.__all__) == sorted(declared)
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # its records are plain classes and namedtuples: a dataclass would exec its methods at import
+    probe = "import sys, eitlsm.cli; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"

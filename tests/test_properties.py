@@ -3,9 +3,10 @@
 Every generated document either parses or raises ConfigurationError, never
 another exception; ND files also round-trip bit-exactly. Cheap run configs go
 through ``simulate`` and then ``reconstruct``, which either write the documented
-run directory or refuse with exit 1 or 2 and one line on stderr. Examples are
-derandomized, so every run draws the same ones. Damaged copies of one
-simulated run directory go through ``reconstruct`` the same way.
+run directory, with every cell of its tables finite, or refuse with exit 1 or 2
+and one line on stderr. Examples are derandomized, so every run draws the same
+ones. Damaged copies of one simulated run directory go through ``reconstruct``
+the same way.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitlsm import ConfigurationError, NdMap, load_nd_map, parse_scenario, save_nd_map
@@ -143,7 +144,8 @@ runs = st.fixed_dictionaries(
      "grid": st.fixed_dictionaries({"spacing": st.floats(0.15, 0.3)})},
     optional={"noise": st.fixed_dictionaries({"level": st.floats(0.0, 0.1),
                                               "seed": st.integers(0, 5)}),
-              "delta_rule": st.fixed_dictionaries({"epsilon": st.floats(0.0, 0.3)}),
+              "delta_rule": st.fixed_dictionaries(
+                  {"epsilon": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)}),
               "cutoff": st.fixed_dictionaries({"rule": st.sampled_from(["multiplier", "quantile"]),
                                                "c": st.floats(0.5, 10.0),
                                                "q": st.floats(0.0, 1.0)})},
@@ -166,8 +168,15 @@ def run_command(command, config, out, err=None):
     return code
 
 
+DISK_RUN = {"scenario": {"inclusions": [{"shape": "disk", "center": [0.3, 0.0], "radius": 0.25,
+                                         "h": [[2.0, 0.0], [0.0, 2.0]]}]},
+            "h_target": 0.3, "N": 4, "grid": {"spacing": 0.3}}
+
+
 @FIXED
 @given(runs)
+@example(dict(DISK_RUN, delta_rule={"epsilon": 0.999999999}))
+@example(dict(DISK_RUN, delta_rule={"epsilon": 0.9999999999999999}))
 def test_simulate_then_reconstruct_exits_cleanly(doc):
     # a fresh directory per example: hypothesis refuses function-scoped fixtures like tmp_path
     with tempfile.TemporaryDirectory() as tmp:
@@ -179,17 +188,14 @@ def test_simulate_then_reconstruct_exits_cleanly(doc):
         if run_command("reconstruct", config, out):
             return
         assert sorted(p.name for p in out.iterdir()) == RUN_FILES
-        inside = np.loadtxt(out / "mask.csv", delimiter=",", skiprows=1, ndmin=2)[:, 2]
-        feasible = np.loadtxt(out / "indicator.csv", delimiter=",", skiprows=1, ndmin=2)[:, 4]
-        assert not (inside.astype(bool) & ~feasible.astype(bool)).any()
+        mask = np.loadtxt(out / "mask.csv", delimiter=",", skiprows=1, ndmin=2)
+        table = np.loadtxt(out / "indicator.csv", delimiter=",", skiprows=1, ndmin=2)
+        image = np.loadtxt(out / "indicator.pgm", skiprows=3, ndmin=2)
+        assert all(np.isfinite(cells).all() for cells in (mask, table, image))
+        assert not (mask[:, 2].astype(bool) & ~table[:, 4].astype(bool)).any()
         written = {name: (out / name).read_bytes() for name in RUN_FILES}
         assert run_command("reconstruct", config, out) == 0
         assert written == {name: (out / name).read_bytes() for name in RUN_FILES}
-
-
-DISK_RUN = {"scenario": {"inclusions": [{"shape": "disk", "center": [0.3, 0.0], "radius": 0.25,
-                                         "h": [[2.0, 0.0], [0.0, 2.0]]}]},
-            "h_target": 0.3, "N": 4, "grid": {"spacing": 0.3}}
 
 
 @pytest.fixture(scope="module")

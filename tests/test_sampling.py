@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 
 import numpy as np
 import pytest
@@ -413,6 +412,21 @@ def test_morozov_rows_are_finite_on_every_accepted_spectrum(exponents, ratios, s
     assert not np.isnan(rows.alpha).any()
 
 
+def test_morozov_rows_stay_finite_as_epsilon_nears_one():
+    # a legal epsilon within 1e-8 of 1: delta, formed from the very norm the rows compare it
+    # with, stays below it, and S_MAX bounds hi = s_1^2 delta / (||phit|| - delta) below
+    # 1e296. A spectrum whose hi could overflow, as near 1e150, is refused
+    with pytest.raises(ConfigurationError, match="norm exceeds"):
+        RelativeData(np.diag([0.99e150, 1e-3]).astype(complex), 1)
+    data = RelativeData(np.diag([(1 - 1e-14) * sampling.S_MAX, 1e-3]).astype(complex), 1)
+    phit = np.array([[1.0, 1.0], [0.3, 2.0j], [1e-3, 1.0]])
+    for epsilon in (0.999999999, 1 - 2**-52, 1 - 2**-53):
+        rows = _morozov_rows(data, phit, epsilon * sampling._row_norms(phit))
+        assert (rows.flag == "ok").all()
+        for name in ("alpha", "residual", "indicator"):
+            assert np.isfinite(getattr(rows, name)).all(), name
+
+
 # ---------------------------------------------------------------------------
 # sweep and support estimate
 
@@ -524,7 +538,8 @@ def test_indicator_dichotomy_small(small_sweep):
 
 def test_estimate_support_constant_field(small_sweep):
     _, _, imap = small_sweep
-    flat = dataclasses.replace(imap, indicator=np.ones(len(imap)))
+    flat = IndicatorMap(imap.points, np.ones(len(imap)), imap.alpha, imap.residual, imap.delta,
+                        imap.spacing, imap.r_max, imap.flag, imap.steps)
     mask = estimate_support(flat, rule="multiplier", c=3.0)
     assert mask.all()
 
@@ -679,7 +694,8 @@ def test_feasible_follows_flag(tmp_path, small_sweep):
     assert imap.feasible[k] and estimate_support(imap)[k]
     flag = imap.flag.copy()
     flag[k] = "not-converged"
-    changed = dataclasses.replace(imap, flag=flag)
+    changed = IndicatorMap(imap.points, imap.indicator, imap.alpha, imap.residual, imap.delta,
+                           imap.spacing, imap.r_max, flag, imap.steps)
     assert np.array_equal(changed.feasible, flag == "ok")
     assert not estimate_support(changed)[k]
     write_indicator_csv(changed, tmp_path / "i.csv")

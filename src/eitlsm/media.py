@@ -16,6 +16,7 @@ verified numerically:
 ``AdmittanceField`` holds every scenario rule, refuses a non-coercive gamma
 and keeps both verdicts. Scenario documents are JSON: ``parse_scenario`` only
 converts their types and shapes; every error, from either, names the field.
+``scenario_document`` writes a field back as a document.
 """
 
 from __future__ import annotations

@@ -177,6 +177,7 @@ DISK_RUN = {"scenario": {"inclusions": [{"shape": "disk", "center": [0.3, 0.0], 
 @given(runs)
 @example(dict(DISK_RUN, delta_rule={"epsilon": 0.999999999}))
 @example(dict(DISK_RUN, delta_rule={"epsilon": 0.9999999999999999}))
+@example(dict(DISK_RUN, delta_rule={"epsilon": 1e-300}))  # no point feasible: exit 1
 def test_simulate_then_reconstruct_exits_cleanly(doc):
     # a fresh directory per example: hypothesis refuses function-scoped fixtures like tmp_path
     with tempfile.TemporaryDirectory() as tmp:
